@@ -39,7 +39,7 @@ from .claims import (
     verify_sigma_catalan,
     verify_theorem_6kminus1,
 )
-from .divisor import DivisorPairing, divisor_list, divisor_pairing, sigma_exact, sigma_mod
+from .divisor import DivisorPairing, divisor_list, divisor_pairing, sigma_exact, sigma_mod, sigma_mod_block
 from .errors import CapacityError, InconclusiveError, InconsistencyError
 from .factorint import (
     Factorization,
@@ -89,6 +89,7 @@ __all__ = [
     "divisor_pairing",
     "sigma_exact",
     "sigma_mod",
+    "sigma_mod_block",
     "CapacityError",
     "InconclusiveError",
     "InconsistencyError",

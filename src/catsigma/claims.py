@@ -1,24 +1,28 @@
 """One verifier per divisibility claim.
 
 Each verifier sweeps an integer range, collects counterexample witnesses,
-and returns a VerificationOutcome.  Sweeps are partitioned into contiguous
-blocks that can run on a thread pool; block results merge in ascending
-order, so the outcome is identical no matter how many threads run it.
-Witness records are plain dicts so they serialize as-is.
+and returns a VerificationOutcome.  Sweeps run serially over contiguous
+blocks in ascending order and stop after the block that yields the tenth
+witness, so the reported witnesses are always the first ten.  The
+sigma(z*k - 1) sweeps compute a whole block of remainders with one
+sigma_mod_block call and factor only the values they report.  Witness
+records are plain dicts so they serialize as-is.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 from time import perf_counter
 
+import numpy as np
+
 from .catalan import _valuation, catalan_factorization, catalan_v2
-from .divisor import sigma_exact, sigma_mod
+from .divisor import sigma_exact, sigma_mod, sigma_mod_block
 from .errors import InconclusiveError
 from .factorint import binary_digit_sum, factor_u64
-from .primes import PrimeTable, build_prime_table
+from .primes import PrimeTable, build_prime_table, check_spf_limit
 
 # The six moduli z for which z | sigma(z*k - 1) holds for every k; the
 # conjecture search asks whether any other modulus shares the property.
@@ -33,6 +37,9 @@ SHARED_DIVISOR = "shared_divisor"
 
 _BLOCK = 50_000
 _MAX_WITNESSES = 10
+# First k-block of each modulus in the conjecture search: most moduli fail
+# at a small k, so the blocks start small and double up to _BLOCK.
+_FIRST_PROBE_BLOCK = 16
 
 
 @dataclass
@@ -66,19 +73,25 @@ def _outcome(claim_id, span, witnesses, started) -> VerificationOutcome:
         claim_id=claim_id,
         range=span,
         holds=not witnesses,
-        counterexamples=witnesses[:_MAX_WITNESSES],
+        counterexamples=witnesses,
         elapsed=perf_counter() - started,
     )
 
 
-def _sweep(lo: int, hi: int, worker, threads: int) -> list[dict]:
-    spans = [(a, min(a + _BLOCK - 1, hi)) for a in range(lo, hi + 1, _BLOCK)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda s: worker(*s), spans))
-    else:
-        parts = [worker(a, b) for a, b in spans]
-    return [w for part in parts for w in part]
+def _sweep(lo: int, hi: int, worker, first_block: int | None = None):
+    """Witnesses of worker(a, b) over consecutive blocks covering [lo, hi],
+    in ascending order.  Blocks start at first_block elements (default
+    _BLOCK) and double up to _BLOCK; a block runs only when the caller asks
+    for more witnesses than the earlier blocks gave."""
+    size = min(first_block or _BLOCK, _BLOCK)
+    while lo <= hi:
+        yield from worker(lo, min(lo + size - 1, hi))
+        lo += size
+        size = min(2 * size, _BLOCK)
+
+
+def _first_witnesses(lo: int, hi: int, worker) -> list:
+    return list(islice(_sweep(lo, hi, worker), _MAX_WITNESSES))
 
 
 def _ensure_table(table: PrimeTable | None, needed: int) -> PrimeTable:
@@ -89,39 +102,45 @@ def _ensure_table(table: PrimeTable | None, needed: int) -> PrimeTable:
     return table
 
 
-def _sigma_witness(k: int, n: int, z: int, table: PrimeTable) -> dict | None:
-    """Witness record if z does not divide sigma(n), else None; sigma(1) == 1."""
-    if n == 1:
-        return {"k": k, "value": 1, "sigma": 1, "remainder": 1 % z}
-    f = factor_u64(n, table)
-    r = sigma_mod(f, z)
-    if r == 0:
-        return None
-    return {"k": k, "value": n, "sigma": sigma_exact(f), "remainder": r}
+def _spf_table(table: PrimeTable | None, needed: int) -> PrimeTable:
+    """_ensure_table for the sigma sweeps; the spf ceiling is checked before
+    anything is sieved."""
+    check_spf_limit(needed)
+    return _ensure_table(table, needed)
 
 
-def verify_lemma_six(k_max: int, table: PrimeTable | None = None, threads: int = 1) -> VerificationOutcome:
+def _sigma_failures(z: int, table: PrimeTable):
+    """Block worker yielding (k, remainder) for each k in [lo, hi] with
+    z not dividing sigma(z*k - 1), in ascending k."""
+
+    def worker(lo, hi):
+        ks = np.arange(lo, hi + 1, dtype=np.int64)
+        remainders = sigma_mod_block(z * ks - 1, z, table.spf)
+        bad = np.flatnonzero(remainders)[:_MAX_WITNESSES]  # no block is asked for more
+        return zip(ks[bad].tolist(), remainders[bad].tolist())
+
+    return worker
+
+
+def _sigma_witness(k: int, z: int, remainder: int, table: PrimeTable) -> dict:
+    """Witness record for a k with z not dividing sigma(z*k - 1); sigma(1) == 1."""
+    n = z * k - 1
+    sigma = 1 if n == 1 else sigma_exact(factor_u64(n, table))
+    return {"k": k, "value": n, "sigma": sigma, "remainder": remainder}
+
+
+def verify_lemma_six(k_max: int, table: PrimeTable | None = None) -> VerificationOutcome:
     """Check 6 | sigma(6k - 1) for every 1 <= k <= k_max."""
     started = perf_counter()
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    table = _ensure_table(table, 6 * k_max - 1)
-    table.spf  # build once, before any thread needs it
-
-    def worker(lo, hi):
-        bad = []
-        for k in range(lo, hi + 1):
-            n = 6 * k - 1
-            r = sigma_mod(factor_u64(n, table), 6)
-            if r:
-                bad.append({"k": k, "value": n, "remainder": r})
-        return bad
-
-    witnesses = _sweep(1, k_max, worker, threads)
+    table = _spf_table(table, 6 * k_max - 1)
+    hits = _first_witnesses(1, k_max, _sigma_failures(6, table))
+    witnesses = [{"k": k, "value": 6 * k - 1, "remainder": r} for k, r in hits]
     return _outcome("lemma-six", (1, k_max), witnesses, started)
 
 
-def verify_family(z: int, k_max: int, table: PrimeTable | None = None, threads: int = 1) -> VerificationOutcome:
+def verify_family(z: int, k_max: int, table: PrimeTable | None = None) -> VerificationOutcome:
     """Check z | sigma(z*k - 1) for 1 <= k <= k_max; witnesses carry the
     smallest violating k values."""
     started = perf_counter()
@@ -129,18 +148,9 @@ def verify_family(z: int, k_max: int, table: PrimeTable | None = None, threads: 
         raise ValueError("z must be >= 2")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    table = _ensure_table(table, z * k_max - 1)
-    table.spf
-
-    def worker(lo, hi):
-        bad = []
-        for k in range(lo, hi + 1):
-            hit = _sigma_witness(k, z * k - 1, z, table)
-            if hit is not None:
-                bad.append(hit)
-        return bad
-
-    witnesses = _sweep(1, k_max, worker, threads)
+    table = _spf_table(table, z * k_max - 1)
+    hits = _first_witnesses(1, k_max, _sigma_failures(z, table))
+    witnesses = [_sigma_witness(k, z, r, table) for k, r in hits]
     return _outcome(f"family-z{z}", (1, k_max), witnesses, started)
 
 
@@ -159,7 +169,7 @@ class ConjectureSearch:
     elapsed: float = 0.0
 
 
-def search_conjecture(b_max: int, k_max: int, table: PrimeTable | None = None, threads: int = 1) -> ConjectureSearch:
+def search_conjecture(b_max: int, k_max: int, table: PrimeTable | None = None) -> ConjectureSearch:
     """For each b in [2, b_max], find the minimal k <= k_max with
     b not dividing sigma(b*k - 1), or record b as a survivor."""
     started = perf_counter()
@@ -167,35 +177,21 @@ def search_conjecture(b_max: int, k_max: int, table: PrimeTable | None = None, t
         raise ValueError("b_max must be >= 2")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    table = _ensure_table(table, b_max * k_max - 1)
-    table.spf
+    table = _spf_table(table, b_max * k_max - 1)
 
-    def probe(b):
-        for k in range(1, k_max + 1):
-            hit = _sigma_witness(k, b * k - 1, b, table)
-            if hit is not None:
-                return {
-                    "b": b,
-                    "witness_k": k,
-                    "value": hit["value"],
-                    "sigma": hit["sigma"],
-                    "remainder": hit["remainder"],
-                }
-        return None
-
-    moduli = range(2, b_max + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            probed = list(pool.map(probe, moduli))
-    else:
-        probed = [probe(b) for b in moduli]
-
-    survivors = [b for b, hit in zip(moduli, probed) if hit is None]
-    eliminated = [hit for hit in probed if hit is not None]
+    survivors, eliminated = [], []
+    for b in range(2, b_max + 1):
+        hit = next(_sweep(1, k_max, _sigma_failures(b, table), _FIRST_PROBE_BLOCK), None)
+        if hit is None:
+            survivors.append(b)
+            continue
+        k, r = hit
+        w = _sigma_witness(k, b, r, table)
+        eliminated.append({"b": b, "witness_k": k, "value": w["value"], "sigma": w["sigma"], "remainder": r})
     return ConjectureSearch(b_max, k_max, survivors, eliminated, perf_counter() - started)
 
 
-def verify_theorem_6kminus1(n_min: int, n_max: int, table: PrimeTable | None = None, threads: int = 1) -> VerificationOutcome:
+def verify_theorem_6kminus1(n_min: int, n_max: int, table: PrimeTable | None = None) -> VerificationOutcome:
     """Check that each Catalan number in the index range has at least one
     prime factor congruent to 5 mod 6; witnesses list the indices without."""
     started = perf_counter()
@@ -211,11 +207,11 @@ def verify_theorem_6kminus1(n_min: int, n_max: int, table: PrimeTable | None = N
                 bad.append({"n": n, "primes": list(factors.prime_factors())})
         return bad
 
-    witnesses = _sweep(n_min, n_max, worker, threads)
+    witnesses = _first_witnesses(n_min, n_max, worker)
     return _outcome("theorem1", (n_min, n_max), witnesses, started)
 
 
-def verify_sigma_catalan(n_min: int, n_max: int, table: PrimeTable | None = None, threads: int = 1) -> VerificationOutcome:
+def verify_sigma_catalan(n_min: int, n_max: int, table: PrimeTable | None = None) -> VerificationOutcome:
     """Check 6 | sigma(catalan(n)) over the index range, working modulo 6
     on the factorization (the exact sigma value is never formed)."""
     started = perf_counter()
@@ -231,11 +227,11 @@ def verify_sigma_catalan(n_min: int, n_max: int, table: PrimeTable | None = None
                 bad.append({"n": n, "remainder": r})
         return bad
 
-    witnesses = _sweep(n_min, n_max, worker, threads)
+    witnesses = _first_witnesses(n_min, n_max, worker)
     return _outcome("sigma-catalan", (n_min, n_max), witnesses, started)
 
 
-def verify_erdos_interval(n_max: int, table: PrimeTable | None = None, threads: int = 1) -> VerificationOutcome:
+def verify_erdos_interval(n_max: int, table: PrimeTable | None = None) -> VerificationOutcome:
     """Check that every prime in (n+1, 2n] divides the nth Catalan number
     with exponent exactly 1, for all n <= n_max."""
     started = perf_counter()
@@ -252,11 +248,11 @@ def verify_erdos_interval(n_max: int, table: PrimeTable | None = None, threads: 
                     bad.append({"n": n, "p": p, "exponent": v})
         return bad
 
-    witnesses = _sweep(1, n_max, worker, threads)
+    witnesses = _first_witnesses(1, n_max, worker)
     return _outcome("erdos-interval", (1, n_max), witnesses, started)
 
 
-def verify_mersenne_parity(n_max: int, threads: int = 1) -> VerificationOutcome:
+def verify_mersenne_parity(n_max: int) -> VerificationOutcome:
     """Check the parity criterion for all n <= n_max: catalan(n) is odd iff
     n + 1 is a power of two, with the Legendre and digit-sum routes for the
     2-adic valuation agreeing everywhere."""
@@ -274,7 +270,7 @@ def verify_mersenne_parity(n_max: int, threads: int = 1) -> VerificationOutcome:
                 bad.append({"n": n, "v2_legendre": v_legendre, "v2_digit_sum": v_digit})
         return bad
 
-    witnesses = _sweep(0, n_max, worker, threads)
+    witnesses = _first_witnesses(0, n_max, worker)
     return _outcome("mersenne-parity", (0, n_max), witnesses, started)
 
 

@@ -4,15 +4,14 @@ Every invocation writes exactly one report to stdout (JSON by default, CSV
 for tabular output on request) and returns 0 when the claim holds or the
 query succeeded, 1 when a counterexample was found, 2 on usage or capacity
 errors.  Reports are byte-identical across runs for the same arguments and
-version: elapsed fields are zeroed unless --timing is given, and sweep
-results merge in a fixed order whatever --threads says.
+version: elapsed fields are zeroed unless --timing is given, and sweeps
+report their first witnesses in ascending order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from time import perf_counter
 
@@ -34,8 +33,6 @@ from .claims import (
 from .divisor import sigma_exact, sigma_mod
 from .errors import CapacityError, InconclusiveError, InconsistencyError
 from .primes import build_prime_table
-
-THREADS_ENV = "CATSIGMA_THREADS"
 
 _OMEGA_COLUMNS = (
     "n",
@@ -78,8 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="catsigma",
         description="Factorizations and sum-of-divisors sweeps over Catalan numbers.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads for sweeps (default: ${THREADS_ENV} or CPU count)")
     parser.add_argument("--timing", action="store_true",
                         help="include measured elapsed times (reports stop being byte-stable)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -139,18 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    return os.cpu_count() or 1
-
-
 def _outcome_payload(outcome: VerificationOutcome, timing: bool) -> dict:
     return {
         "claim_id": outcome.claim_id,
@@ -183,7 +166,7 @@ def _omega_csv(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dispatch(args, threads: int, timing: bool):
+def _dispatch(args, timing: bool):
     """Returns (command, parameters, outcome payload, exit code)."""
     if args.command == "factor-catalan":
         n = args.n
@@ -214,7 +197,7 @@ def _dispatch(args, threads: int, timing: bool):
         return "digits", {"n": args.n}, {"n": args.n, "digits": digit_count(args.n)}, 0
 
     if args.command == "verify":
-        return _dispatch_verify(args, threads, timing)
+        return _dispatch_verify(args, timing)
 
     if args.command == "coprime-graph":
         edges = coprimality_graph(args.coeffs, args.search_bound)
@@ -256,16 +239,16 @@ def _dispatch(args, threads: int, timing: bool):
     raise ValueError(f"unknown command {args.command!r}")
 
 
-def _dispatch_verify(args, threads: int, timing: bool):
+def _dispatch_verify(args, timing: bool):
     claim = args.claim
     if claim == "lemma-six":
-        outcome = verify_lemma_six(args.k_max, threads=threads)
+        outcome = verify_lemma_six(args.k_max)
         params = {"k_max": args.k_max}
     elif claim == "family":
-        outcome = verify_family(args.z, args.k_max, threads=threads)
+        outcome = verify_family(args.z, args.k_max)
         params = {"z": args.z, "k_max": args.k_max}
     elif claim == "conjecture":
-        result = search_conjecture(args.b_max, args.k_max, threads=threads)
+        result = search_conjecture(args.b_max, args.k_max)
         expected = [b for b in FAMILY_MODULI if b <= args.b_max]
         unexpected = sorted(set(result.survivors) - set(expected))
         payload = {
@@ -279,16 +262,16 @@ def _dispatch_verify(args, threads: int, timing: bool):
         params = {"b_max": args.b_max, "k_max": args.k_max}
         return "verify conjecture", params, payload, 0 if not unexpected else 1
     elif claim == "theorem1":
-        outcome = verify_theorem_6kminus1(args.n_min, args.n_max, threads=threads)
+        outcome = verify_theorem_6kminus1(args.n_min, args.n_max)
         params = {"n_min": args.n_min, "n_max": args.n_max}
     elif claim == "sigma-catalan":
-        outcome = verify_sigma_catalan(args.n_min, args.n_max, threads=threads)
+        outcome = verify_sigma_catalan(args.n_min, args.n_max)
         params = {"n_min": args.n_min, "n_max": args.n_max}
     elif claim == "erdos":
-        outcome = verify_erdos_interval(args.n_max, threads=threads)
+        outcome = verify_erdos_interval(args.n_max)
         params = {"n_max": args.n_max}
     elif claim == "mersenne":
-        outcome = verify_mersenne_parity(args.n_max, threads=threads)
+        outcome = verify_mersenne_parity(args.n_max)
         params = {"n_max": args.n_max}
     else:
         raise ValueError(f"unknown claim {claim!r}")
@@ -306,8 +289,7 @@ def run(argv=None) -> int:
 
     started = perf_counter()
     try:
-        threads = _resolve_threads(args)
-        command, parameters, payload, code = _dispatch(args, threads, args.timing)
+        command, parameters, payload, code = _dispatch(args, args.timing)
     except (ValueError, CapacityError, InconsistencyError, InconclusiveError) as exc:
         print(f"catsigma: {exc}", file=sys.stderr)
         return 2

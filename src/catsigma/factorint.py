@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
+import numpy as np
+
 from .primes import PrimeTable, is_prime
 
 _U64_MAX = 2**64 - 1
@@ -97,10 +99,12 @@ def legendre_valuation(n: int, p: int) -> int:
     return total
 
 
-def _factor_spf(n: int, spf: list[int]) -> list[tuple[int, int]]:
+def _factor_spf(n: int, spf: np.ndarray) -> list[tuple[int, int]]:
     out = []
     while n > 1:
-        p = spf[n]
+        # a Python int, not the table's uint32: callers raise primes to
+        # powers and serialize them
+        p = int(spf[n])
         e = 0
         while n % p == 0:
             n //= p

@@ -3,8 +3,8 @@
 The sieve streams through fixed-size segments, so the peak working buffer
 stays small even for limits around 10**8; what grows with the limit is the
 list of primes itself.  The smallest-prime-factor table is materialized
-lazily because only dense factorization sweeps need it (it costs one uint32
-per integer while sieving, then a Python list for cheap lookups).
+lazily because only dense factorization sweeps need it; it is a numpy uint32
+array, 4 bytes per integer.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ _SEGMENT = 1 << 20
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
-# spf entries are stored as uint32 while sieving.
+# spf entries are stored as uint32.
 _SPF_LIMIT_MAX = 2**32 - 1
 
 
@@ -44,14 +44,13 @@ class PrimeTable:
     """All primes up to ``limit``, with prime counting and an optional
     smallest-prime-factor lookup.
 
-    Instances are immutable after construction and safe to share between
-    threads; the lazy spf build is idempotent, so a race at worst repeats
-    the same work.
+    Instances are immutable after construction apart from the lazy spf
+    build, which is idempotent.
     """
 
     limit: int
     primes: list[int]
-    _spf: list[int] | None = field(default=None, repr=False, compare=False)
+    _spf: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def pi(self, x: int) -> int:
         """Number of primes <= x.  Requires x <= limit."""
@@ -66,9 +65,10 @@ class PrimeTable:
         return self.primes[bisect_right(self.primes, lo) : bisect_right(self.primes, hi)]
 
     @property
-    def spf(self) -> list[int]:
+    def spf(self) -> np.ndarray:
         """Smallest prime factor of every m in [2, limit]; entries 0 and 1
-        are 0.  Built on first use (~8 bytes per integer as a Python list)."""
+        are 0.  Built on first use as a uint32 array (4 bytes per integer);
+        read entries through smallest_prime_factor to get Python ints."""
         if self._spf is None:
             self._spf = _build_spf(self.limit)
         return self._spf
@@ -76,7 +76,7 @@ class PrimeTable:
     def smallest_prime_factor(self, m: int) -> int:
         if not 2 <= m <= self.limit:
             raise ValueError(f"{m} outside [2, {self.limit}]")
-        return self.spf[m]
+        return int(self.spf[m])
 
 
 def _sieve_flags(n: int) -> np.ndarray:
@@ -110,9 +110,15 @@ def build_prime_table(limit: int) -> PrimeTable:
     return PrimeTable(limit, np.concatenate(chunks).tolist())
 
 
-def _build_spf(limit: int) -> list[int]:
+def check_spf_limit(limit: int) -> None:
+    """Raise CapacityError when an spf table up to limit would not fit the
+    uint32 entries; cheap, so callers run it before sieving anything."""
     if limit > _SPF_LIMIT_MAX:
-        raise CapacityError(f"spf table limited to {_SPF_LIMIT_MAX}")
+        raise CapacityError(f"spf table limited to {_SPF_LIMIT_MAX}, {limit} requested")
+
+
+def _build_spf(limit: int) -> np.ndarray:
+    check_spf_limit(limit)
     spf = np.zeros(limit + 1, dtype=np.uint32)
     for p in range(2, isqrt(limit) + 1):
         if spf[p] == 0:
@@ -120,7 +126,7 @@ def _build_spf(limit: int) -> list[int]:
             view[view == 0] = p
     remaining = np.flatnonzero(spf[2:] == 0) + 2  # untouched entries are prime
     spf[remaining] = remaining
-    return spf.tolist()
+    return spf
 
 
 def is_prime(n: int) -> bool:

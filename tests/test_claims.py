@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -8,6 +9,7 @@ from catsigma import (
     SMALL_INDEX_EXCEPTIONS,
     InconclusiveError,
     analyze_coprimality,
+    claims,
     coprimality_graph,
     search_conjecture,
     verify_erdos_interval,
@@ -132,16 +134,23 @@ def test_mersenne_parity_small():
     assert outcome.range == (0, 5_000)
 
 
-def test_sweep_is_deterministic_across_thread_counts(table_6m):
-    # 120_000 spans multiple 50k blocks
-    sequential = verify_family(5, 120_000, table_6m, threads=1)
-    threaded = verify_family(5, 120_000, table_6m, threads=4)
-    assert sequential.counterexamples == threaded.counterexamples
-    assert sequential.holds == threaded.holds
+@pytest.mark.parametrize("block", [7, 1000])
+def test_outcomes_do_not_depend_on_block_size(table_100k, monkeypatch, block):
+    # witnesses straddle blocks of 7, and the sweep stops after the block
+    # that yields the tenth; blocks of 1000 cover the same ranges coarsely
+    def outcomes():
+        results = (
+            verify_lemma_six(3_000, table_100k),
+            verify_family(5, 3_000, table_100k),
+            verify_family(24, 3_000, table_100k),
+            search_conjecture(40, 200, table_100k),
+            verify_theorem_6kminus1(0, 300, table_100k),
+        )
+        return [replace(r, elapsed=0.0) for r in results]
 
-    lemma_seq = verify_lemma_six(120_000, table_6m, threads=1)
-    lemma_thr = verify_lemma_six(120_000, table_6m, threads=4)
-    assert lemma_seq.holds and lemma_thr.holds
+    expected = outcomes()
+    monkeypatch.setattr(claims, "_BLOCK", block)
+    assert outcomes() == expected
 
 
 def test_range_validation(table_10k):

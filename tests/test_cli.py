@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from catsigma import __version__
+import oracles
+from catsigma import __version__, claims
 from catsigma.cli import run
 
 
@@ -63,6 +64,32 @@ def test_verify_family_counterexample_exit_code(capsys):
     outcome = report["outcome"]
     assert outcome["holds"] is False
     assert outcome["counterexamples"][0] == {"k": 1, "value": 4, "sigma": 7, "remainder": 2}
+
+
+def test_verify_family_witnesses_serialize(capsys):
+    code, report, _ = invoke_json(capsys, "verify", "family", "--z", "5", "--k-max", "20000")
+    assert code == 1
+    witnesses = report["outcome"]["counterexamples"]
+    assert len(witnesses) == 10
+    for w in witnesses:
+        assert w["sigma"] == oracles.sigma_by_scan(w["value"])
+        assert w["sigma"] % 5 == w["remainder"] != 0
+
+
+def test_spf_capacity_checked_before_sieving(capsys, monkeypatch):
+    def refuse(limit):
+        pytest.fail(f"sieved to {limit} before the capacity check")
+
+    monkeypatch.setattr(claims, "build_prime_table", refuse)
+    for argv in (
+        ("verify", "lemma-six", "--k-max", str(10**9)),
+        ("verify", "family", "--z", "5", "--k-max", str(10**9)),
+        ("verify", "conjecture", "--b-max", "100", "--k-max", str(10**8)),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "spf table limited" in err
 
 
 def test_verify_conjecture(capsys):
@@ -139,19 +166,6 @@ def test_reports_are_byte_stable(capsys):
     _, first, _ = invoke(capsys, "verify", "lemma-six", "--k-max", "500")
     _, second, _ = invoke(capsys, "verify", "lemma-six", "--k-max", "500")
     assert first == second
-    _, threaded, _ = invoke(capsys, "--threads", "4", "verify", "lemma-six", "--k-max", "500")
-    assert first == threaded
-
-
-def test_threads_env_override(capsys, monkeypatch):
-    _, baseline, _ = invoke(capsys, "verify", "mersenne", "--n-max", "2000")
-    monkeypatch.setenv("CATSIGMA_THREADS", "3")
-    _, overridden, _ = invoke(capsys, "verify", "mersenne", "--n-max", "2000")
-    assert baseline == overridden
-    monkeypatch.setenv("CATSIGMA_THREADS", "not-a-number")
-    code, _, err = invoke(capsys, "verify", "mersenne", "--n-max", "10")
-    assert code == 2
-    assert "CATSIGMA_THREADS" in err
 
 
 def test_timing_flag_populates_elapsed(capsys):

@@ -1,6 +1,9 @@
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from catsigma import (
@@ -10,6 +13,7 @@ from catsigma import (
     factor_u64,
     sigma_exact,
     sigma_mod,
+    sigma_mod_block,
 )
 
 
@@ -30,6 +34,35 @@ def test_sigma_exact_examples(entries, expected):
 def test_sigma_exact_matches_divisor_scan(table_100k):
     for n in range(2, 5_000):
         assert sigma_exact(factor_u64(n, table_100k)) == oracles.sigma_by_scan(n)
+
+
+@pytest.mark.parametrize("n", [2003**2, 2417**2, 5 * 1_000_003])
+def test_sigma_exact_on_spf_factors_past_32_bits(table_6m, n):
+    f = factor_u64(n, table_6m)
+    # p**(e + 1) leaves the uint32 range of the spf table for some prime
+    assert any(p ** (e + 1) > 2**32 for p, e in f)
+    assert sigma_exact(f) == oracles.sigma_by_scan(n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(z=st.integers(2, 60), k_lo=st.integers(1, 1_500), count=st.integers(1, 160))
+@example(z=2, k_lo=1, count=1)  # the value 1
+def test_sigma_mod_block_matches_scalar_path(table_100k, z, k_lo, count):
+    ks = np.arange(k_lo, k_lo + count, dtype=np.int64)
+    values = z * ks - 1
+    expected = [1 % z if v == 1 else sigma_mod(factor_u64(int(v), table_100k), z) for v in values]
+    assert sigma_mod_block(values, z, table_100k.spf).tolist() == expected
+
+
+def test_sigma_mod_block_validation(table_10k):
+    spf = table_10k.spf
+    assert sigma_mod_block(np.array([], dtype=np.int64), 6, spf).tolist() == []
+    with pytest.raises(ValueError):
+        sigma_mod_block(np.array([5]), 1, spf)
+    with pytest.raises(ValueError):
+        sigma_mod_block(np.array([0, 5]), 6, spf)
+    with pytest.raises(ValueError):
+        sigma_mod_block(np.array([10_001]), 6, spf)
 
 
 @pytest.mark.parametrize(

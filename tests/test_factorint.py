@@ -101,6 +101,8 @@ def test_factor_spf_path_exhaustive(table_100k):
         f = factor_u64(n, table_100k)
         assert f.value == n
         assert all(p in pset for p, _ in f)
+        # Python ints, not the table's uint32, so powers cannot wrap
+        assert all(type(p) is int and type(e) is int for p, e in f)
 
 
 def test_factor_spf_path_matches_trial_division(table_100k):

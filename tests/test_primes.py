@@ -58,6 +58,7 @@ def test_spf_is_smallest_prime_factor(table_10k):
 
 def test_smallest_prime_factor_bounds(table_10k):
     assert table_10k.smallest_prime_factor(9999) == 3
+    assert type(table_10k.smallest_prime_factor(9973)) is int
     with pytest.raises(ValueError):
         table_10k.smallest_prime_factor(1)
     with pytest.raises(ValueError):
