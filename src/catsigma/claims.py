@@ -95,18 +95,14 @@ def _first_witnesses(lo: int, hi: int, worker) -> list:
 
 
 def _ensure_table(table: PrimeTable | None, needed: int) -> PrimeTable:
+    """A table covering [2, needed]: the caller's, or a new one.  The spf
+    ceiling is checked before anything is sieved."""
+    check_spf_limit(needed)
     if table is None:
         return build_prime_table(max(needed, 2))
     if table.limit < needed:
         raise ValueError(f"table limit {table.limit} below required {needed}")
     return table
-
-
-def _spf_table(table: PrimeTable | None, needed: int) -> PrimeTable:
-    """_ensure_table for the sigma sweeps; the spf ceiling is checked before
-    anything is sieved."""
-    check_spf_limit(needed)
-    return _ensure_table(table, needed)
 
 
 def _sigma_failures(z: int, table: PrimeTable):
@@ -134,7 +130,7 @@ def verify_lemma_six(k_max: int, table: PrimeTable | None = None) -> Verificatio
     started = perf_counter()
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    table = _spf_table(table, 6 * k_max - 1)
+    table = _ensure_table(table, 6 * k_max - 1)
     hits = _first_witnesses(1, k_max, _sigma_failures(6, table))
     witnesses = [{"k": k, "value": 6 * k - 1, "remainder": r} for k, r in hits]
     return _outcome("lemma-six", (1, k_max), witnesses, started)
@@ -148,7 +144,7 @@ def verify_family(z: int, k_max: int, table: PrimeTable | None = None) -> Verifi
         raise ValueError("z must be >= 2")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    table = _spf_table(table, z * k_max - 1)
+    table = _ensure_table(table, z * k_max - 1)
     hits = _first_witnesses(1, k_max, _sigma_failures(z, table))
     witnesses = [_sigma_witness(k, z, r, table) for k, r in hits]
     return _outcome(f"family-z{z}", (1, k_max), witnesses, started)
@@ -177,7 +173,7 @@ def search_conjecture(b_max: int, k_max: int, table: PrimeTable | None = None) -
         raise ValueError("b_max must be >= 2")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    table = _spf_table(table, b_max * k_max - 1)
+    table = _ensure_table(table, b_max * k_max - 1)
 
     survivors, eliminated = [], []
     for b in range(2, b_max + 1):

@@ -305,8 +305,23 @@ def run(argv=None) -> int:
         "tool_version": __version__,
         "elapsed_ms": int((perf_counter() - started) * 1000) if args.timing else 0,
     }
-    sys.stdout.write(json.dumps(envelope, indent=2) + "\n")
+    sys.stdout.write(_dumps(envelope) + "\n")
     return code
+
+
+def _dumps(envelope: dict) -> str:
+    """JSON text of the report.  Exact sigma values can pass the
+    interpreter's int-to-str digit limit, which is lifted for this call
+    only.  Interpreters older than the limit (before 3.10.7) have no such
+    call."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return json.dumps(envelope, indent=2)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(envelope, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

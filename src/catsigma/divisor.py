@@ -1,5 +1,8 @@
-"""Sum-of-divisors arithmetic on factorizations, exact and modular, plus the
-pairing of divisors across the square root used by the divisibility sweeps."""
+"""Sum-of-divisors arithmetic on factorizations, exact and modular, the
+block kernel behind the sigma(z*k - 1) sweeps, and the pairing of divisors
+across the square root that explains the family claim: for the family
+moduli z, every pair sum d + n/d of n = z*k - 1 is divisible by z.  No
+sweep calls the pairing."""
 
 from __future__ import annotations
 

@@ -1,10 +1,10 @@
-"""Prime generation, deterministic primality testing, and mod-6 classes.
+"""Prime tables, deterministic primality testing, and mod-6 classes.
 
-The sieve streams through fixed-size segments, so the peak working buffer
-stays small even for limits around 10**8; what grows with the limit is the
-list of primes itself.  The smallest-prime-factor table is materialized
-lazily because only dense factorization sweeps need it; it is a numpy uint32
-array, 4 bytes per integer.
+build_prime_table runs one smallest-prime-factor sieve: the entries that no
+smaller prime marks are the primes, so every table carries both the prime
+list and the spf array.  The spf array is numpy uint32, 4 bytes per integer,
+which caps a table's limit at 2**32 - 1; the limit is checked before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from math import isqrt
 import numpy as np
 
 from .errors import CapacityError
-
-_SEGMENT = 1 << 20
 
 # Fixed Miller-Rabin witness set, deterministic for all n below
 # 3,317,044,064,679,887,385,961,981 (Sorenson & Webster), which covers the
@@ -39,18 +37,20 @@ class Mod6Class(enum.Enum):
     ONE_MINUS = "one_minus"  # p % 6 == 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrimeTable:
-    """All primes up to ``limit``, with prime counting and an optional
-    smallest-prime-factor lookup.
+    """All primes up to ``limit`` and the smallest prime factor of every
+    integer up to it, with prime counting.  Immutable after construction.
 
-    Instances are immutable after construction apart from the lazy spf
-    build, which is idempotent.
+    ``primes`` is a list of Python ints in ascending order.  ``spf`` is a
+    uint32 array of limit + 1 entries: spf[m] is the smallest prime factor
+    of m for m >= 2, and entries 0 and 1 are 0; read single entries through
+    smallest_prime_factor to get Python ints.
     """
 
     limit: int
     primes: list[int]
-    _spf: np.ndarray | None = field(default=None, repr=False, compare=False)
+    spf: np.ndarray = field(repr=False, compare=False)
 
     def pi(self, x: int) -> int:
         """Number of primes <= x.  Requires x <= limit."""
@@ -64,50 +64,10 @@ class PrimeTable:
             raise ValueError(f"range end {hi} exceeds table limit {self.limit}")
         return self.primes[bisect_right(self.primes, lo) : bisect_right(self.primes, hi)]
 
-    @property
-    def spf(self) -> np.ndarray:
-        """Smallest prime factor of every m in [2, limit]; entries 0 and 1
-        are 0.  Built on first use as a uint32 array (4 bytes per integer);
-        read entries through smallest_prime_factor to get Python ints."""
-        if self._spf is None:
-            self._spf = _build_spf(self.limit)
-        return self._spf
-
     def smallest_prime_factor(self, m: int) -> int:
         if not 2 <= m <= self.limit:
             raise ValueError(f"{m} outside [2, {self.limit}]")
         return int(self.spf[m])
-
-
-def _sieve_flags(n: int) -> np.ndarray:
-    """Boolean primality flags for [0, n]."""
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
-
-
-def build_prime_table(limit: int) -> PrimeTable:
-    """Sieve all primes <= limit (limit >= 2).  Output is deterministic."""
-    if limit < 2:
-        raise ValueError("limit must be >= 2")
-    if limit <= _SEGMENT:
-        return PrimeTable(limit, np.flatnonzero(_sieve_flags(limit)).tolist())
-
-    root = isqrt(limit)
-    base = np.flatnonzero(_sieve_flags(root)).tolist()
-    chunks = [np.asarray(base, dtype=np.int64)]
-    for lo in range(root + 1, limit + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT - 1, limit)
-        seg = np.ones(hi - lo + 1, dtype=bool)
-        for p in base:
-            start = max(p * p, (lo + p - 1) // p * p)
-            if start <= hi:
-                seg[start - lo :: p] = False
-        chunks.append(np.flatnonzero(seg) + lo)
-    return PrimeTable(limit, np.concatenate(chunks).tolist())
 
 
 def check_spf_limit(limit: int) -> None:
@@ -117,16 +77,28 @@ def check_spf_limit(limit: int) -> None:
         raise CapacityError(f"spf table limited to {_SPF_LIMIT_MAX}, {limit} requested")
 
 
-def _build_spf(limit: int) -> np.ndarray:
+def build_prime_table(limit: int) -> PrimeTable:
+    """Sieve all primes <= limit (2 <= limit <= 2**32 - 1) together with the
+    smallest prime factor of every integer up to limit.  Costs about 5 bytes
+    per integer while sieving and 4 afterwards, plus the prime list.  Output
+    is deterministic."""
+    if limit < 2:
+        raise ValueError("limit must be >= 2")
     check_spf_limit(limit)
+    spf, primes = _build_spf(limit)
+    return PrimeTable(limit, primes.tolist(), spf)
+
+
+def _build_spf(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spf array for [0, limit] and the primes up to limit as an array."""
     spf = np.zeros(limit + 1, dtype=np.uint32)
     for p in range(2, isqrt(limit) + 1):
         if spf[p] == 0:
             view = spf[p * p :: p]
             view[view == 0] = p
-    remaining = np.flatnonzero(spf[2:] == 0) + 2  # untouched entries are prime
-    spf[remaining] = remaining
-    return spf
+    primes = np.flatnonzero(spf[2:] == 0) + 2  # untouched entries are prime
+    spf[primes] = primes
+    return spf, primes
 
 
 def is_prime(n: int) -> bool:

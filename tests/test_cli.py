@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import catsigma
 import oracles
-from catsigma import __version__, claims
+from catsigma import __version__, build_prime_table, catalan_factorization, claims, primes, sigma_exact
 from catsigma.cli import run
 
 
@@ -48,6 +53,29 @@ def test_sigma_catalan_exact_and_mod(capsys):
     assert report["outcome"]["remainder"] == 0
 
 
+def test_sigma_catalan_exact_past_int_str_limit(capsys):
+    # sigma(catalan(20000)) has more digits than the default int-to-str limit
+    default = sys.get_int_max_str_digits()
+    code, out, _ = invoke(capsys, "sigma-catalan", "20000")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == default  # restored after the report
+    expected = sigma_exact(catalan_factorization(20000, build_prime_table(40_000)).factors)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(expected)) > default
+        assert json.loads(out)["outcome"]["sigma"] == expected
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(catsigma.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "catsigma", "digits", "9"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, out, err = invoke(capsys, "digits", "9")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
 def test_verify_lemma_six_holds(capsys):
     code, report, _ = invoke_json(capsys, "verify", "lemma-six", "--k-max", "1000")
     assert code == 0
@@ -80,11 +108,16 @@ def test_spf_capacity_checked_before_sieving(capsys, monkeypatch):
     def refuse(limit):
         pytest.fail(f"sieved to {limit} before the capacity check")
 
+    # the k-sweeps refuse before building a table; every table build
+    # refuses before allocating its spf array
     monkeypatch.setattr(claims, "build_prime_table", refuse)
+    monkeypatch.setattr(primes, "_build_spf", refuse)
     for argv in (
         ("verify", "lemma-six", "--k-max", str(10**9)),
         ("verify", "family", "--z", "5", "--k-max", str(10**9)),
         ("verify", "conjecture", "--b-max", "100", "--k-max", str(10**8)),
+        ("verify", "theorem1", "--n-min", "0", "--n-max", "2147483648"),
+        ("factor-catalan", "2147483648"),
     ):
         code, out, err = invoke(capsys, *argv)
         assert code == 2

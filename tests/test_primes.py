@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import oracles
@@ -26,12 +27,15 @@ def test_build_is_deterministic():
     assert build_prime_table(50_000).primes == build_prime_table(50_000).primes
 
 
-def test_segmented_path_agrees_with_small_path():
-    # 1_300_000 forces the segmented branch; its head must match a small build
-    big = build_prime_table(1_300_000)
-    small = build_prime_table(10_000)
-    assert big.primes[: len(small.primes)] == small.primes
-    assert big.pi(1_300_000) == 100021  # frozen
+def test_primes_are_spf_fixed_points():
+    # the prime list and the spf array come from one sieve; they must agree
+    for limit in (2, 3, 4, 1_300_000):
+        table = build_prime_table(limit)
+        assert table.spf.dtype == np.uint32 and len(table.spf) == limit + 1
+        fixed = np.flatnonzero(table.spf == np.arange(limit + 1)).tolist()
+        assert table.primes == [m for m in fixed if m >= 2]
+        assert all(type(p) is int for p in table.primes)
+    assert table.pi(1_300_000) == 100021  # frozen
 
 
 def test_pi_matches_trial_counting(table_10k):
