@@ -12,7 +12,6 @@ from .asymptotics import TWIN_PRIME_CONSTANT, OmegaRecord, omega_factorial, omeg
 from .catalan import (
     CATALAN_EXACT_CEILING,
     ONE_BASED_OFFSET,
-    CatalanFactorization,
     asymptotic_log,
     catalan_exact,
     catalan_factorization,
@@ -60,7 +59,6 @@ __all__ = [
     "omega_table",
     "CATALAN_EXACT_CEILING",
     "ONE_BASED_OFFSET",
-    "CatalanFactorization",
     "asymptotic_log",
     "catalan_exact",
     "catalan_factorization",

@@ -54,8 +54,7 @@ def omega_record(n: int, table: PrimeTable) -> OmegaRecord:
     """
     if n < 2:
         raise ValueError("predictions are undefined for n < 2")
-    factors = catalan_factorization(n, table).factors
-    ps = factors.prime_factors()
+    ps = catalan_factorization(n, table).prime_factors()
     pset = set(ps)
     ln = log(n)
     return OmegaRecord(

@@ -9,7 +9,6 @@ ONE_BASED_OFFSET to convert rather than re-deriving formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial, floor, isinf, log, pi
 from typing import Literal
 
@@ -53,24 +52,17 @@ def _valuation(n: int, p: int) -> int:
 
 
 def catalan_valuation(n: int, p: int) -> int:
-    """Exponent of the prime p in the nth Catalan number, from factorial
-    valuations alone (the big integer is never formed)."""
+    """Exponent of the prime p in the nth Catalan number, as the difference
+    of three factorial valuations (the big integer is never formed).  This
+    route is independent of _valuation, which catalan_factorization uses."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _valuation(n, p)
+    return legendre_valuation(2 * n, p) - legendre_valuation(n + 1, p) - legendre_valuation(n, p)
 
 
-@dataclass(frozen=True)
-class CatalanFactorization:
-    """Complete factorization of one Catalan number."""
-
-    index: int
-    factors: Factorization
-
-
-def catalan_factorization(n: int, table: PrimeTable) -> CatalanFactorization:
+def catalan_factorization(n: int, table: PrimeTable) -> Factorization:
     """Factor the nth Catalan number using only factorial valuations over
     the table's primes.  The table must cover 2n."""
     if n < 0:
@@ -82,7 +74,7 @@ def catalan_factorization(n: int, table: PrimeTable) -> CatalanFactorization:
         e = _valuation(n, p)
         if e:
             entries.append((p, e))
-    return CatalanFactorization(n, Factorization(tuple(entries)))
+    return Factorization(tuple(entries))
 
 
 def catalan_v2(n: int) -> int:
@@ -93,11 +85,7 @@ def catalan_v2(n: int) -> int:
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return (
-        legendre_valuation(2 * n, 2)
-        - legendre_valuation(n + 1, 2)
-        - legendre_valuation(n, 2)
-    )
+    return _valuation(n, 2)
 
 
 def product_form(k: int, parity: Literal["even", "odd"]) -> int:

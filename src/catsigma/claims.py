@@ -1,12 +1,14 @@
 """One verifier per divisibility claim.
 
 Each verifier sweeps an integer range, collects counterexample witnesses,
-and returns a VerificationOutcome.  Sweeps run serially over contiguous
-blocks in ascending order and stop after the block that yields the tenth
-witness, so the reported witnesses are always the first ten.  The
-sigma(z*k - 1) sweeps compute a whole block of remainders with one
-sigma_mod_block call and factor only the values they report.  Witness
-records are plain dicts so they serialize as-is.
+and returns a VerificationOutcome.  Sweeps run serially in ascending order
+over contiguous blocks that start at 16 elements and double up to 50k, so
+the reported witnesses are always the first ten.  The sigma(z*k - 1)
+sweeps compute a whole block of remainders with one sigma_mod_block call,
+stop after the block that yields the tenth witness, and factor only the
+values they report.  The index sweeps check one n at a time and stop at
+the tenth witness itself.  Witness records are plain dicts so they
+serialize as-is.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ SHARED_DIVISOR = "shared_divisor"
 
 _BLOCK = 50_000
 _MAX_WITNESSES = 10
-# First k-block of each modulus in the conjecture search: most moduli fail
-# at a small k, so the blocks start small and double up to _BLOCK.
+# First block of every sweep: most conjecture moduli and failing families
+# fail at a small k, so the blocks start small and double up to _BLOCK.
 _FIRST_PROBE_BLOCK = 16
 
 
@@ -78,12 +80,12 @@ def _outcome(claim_id, span, witnesses, started) -> VerificationOutcome:
     )
 
 
-def _sweep(lo: int, hi: int, worker, first_block: int | None = None):
+def _sweep(lo: int, hi: int, worker):
     """Witnesses of worker(a, b) over consecutive blocks covering [lo, hi],
-    in ascending order.  Blocks start at first_block elements (default
-    _BLOCK) and double up to _BLOCK; a block runs only when the caller asks
-    for more witnesses than the earlier blocks gave."""
-    size = min(first_block or _BLOCK, _BLOCK)
+    in ascending order.  Blocks start at _FIRST_PROBE_BLOCK elements and
+    double up to _BLOCK; a block runs only when the caller asks for more
+    witnesses than the earlier blocks gave."""
+    size = min(_FIRST_PROBE_BLOCK, _BLOCK)
     while lo <= hi:
         yield from worker(lo, min(lo + size - 1, hi))
         lo += size
@@ -94,9 +96,20 @@ def _first_witnesses(lo: int, hi: int, worker) -> list:
     return list(islice(_sweep(lo, hi, worker), _MAX_WITNESSES))
 
 
+def _per_index(check):
+    """Block worker yielding the witnesses of check(n) for each n in
+    [lo, hi] in turn; lazy, so a sweep stops at the witness it needs."""
+
+    def worker(lo, hi):
+        for n in range(lo, hi + 1):
+            yield from check(n)
+
+    return worker
+
+
 def _ensure_table(table: PrimeTable | None, needed: int) -> PrimeTable:
     """A table covering [2, needed]: the caller's, or a new one.  The spf
-    ceiling is checked before anything is sieved."""
+    ceiling and the memory estimate are checked before anything is sieved."""
     check_spf_limit(needed)
     if table is None:
         return build_prime_table(max(needed, 2))
@@ -177,7 +190,7 @@ def search_conjecture(b_max: int, k_max: int, table: PrimeTable | None = None) -
 
     survivors, eliminated = [], []
     for b in range(2, b_max + 1):
-        hit = next(_sweep(1, k_max, _sigma_failures(b, table), _FIRST_PROBE_BLOCK), None)
+        hit = next(_sweep(1, k_max, _sigma_failures(b, table)), None)
         if hit is None:
             survivors.append(b)
             continue
@@ -195,15 +208,12 @@ def verify_theorem_6kminus1(n_min: int, n_max: int, table: PrimeTable | None = N
         raise ValueError("need 0 <= n_min <= n_max")
     table = _ensure_table(table, max(2 * n_max, 2))
 
-    def worker(lo, hi):
-        bad = []
-        for n in range(lo, hi + 1):
-            factors = catalan_factorization(n, table).factors
-            if not any(p % 6 == 5 for p, _ in factors):
-                bad.append({"n": n, "primes": list(factors.prime_factors())})
-        return bad
+    def check(n):
+        factors = catalan_factorization(n, table)
+        if not any(p % 6 == 5 for p, _ in factors):
+            yield {"n": n, "primes": list(factors.prime_factors())}
 
-    witnesses = _first_witnesses(n_min, n_max, worker)
+    witnesses = _first_witnesses(n_min, n_max, _per_index(check))
     return _outcome("theorem1", (n_min, n_max), witnesses, started)
 
 
@@ -215,15 +225,12 @@ def verify_sigma_catalan(n_min: int, n_max: int, table: PrimeTable | None = None
         raise ValueError("need 0 <= n_min <= n_max")
     table = _ensure_table(table, max(2 * n_max, 2))
 
-    def worker(lo, hi):
-        bad = []
-        for n in range(lo, hi + 1):
-            r = sigma_mod(catalan_factorization(n, table).factors, 6)
-            if r:
-                bad.append({"n": n, "remainder": r})
-        return bad
+    def check(n):
+        r = sigma_mod(catalan_factorization(n, table), 6)
+        if r:
+            yield {"n": n, "remainder": r}
 
-    witnesses = _first_witnesses(n_min, n_max, worker)
+    witnesses = _first_witnesses(n_min, n_max, _per_index(check))
     return _outcome("sigma-catalan", (n_min, n_max), witnesses, started)
 
 
@@ -235,16 +242,13 @@ def verify_erdos_interval(n_max: int, table: PrimeTable | None = None) -> Verifi
         raise ValueError("n_max must be >= 1")
     table = _ensure_table(table, 2 * n_max)
 
-    def worker(lo, hi):
-        bad = []
-        for n in range(lo, hi + 1):
-            for p in table.primes_between(n + 1, 2 * n):
-                v = _valuation(n, p)
-                if v != 1:
-                    bad.append({"n": n, "p": p, "exponent": v})
-        return bad
+    def check(n):
+        for p in table.primes_between(n + 1, 2 * n):
+            v = _valuation(n, p)
+            if v != 1:
+                yield {"n": n, "p": p, "exponent": v}
 
-    witnesses = _first_witnesses(1, n_max, worker)
+    witnesses = _first_witnesses(1, n_max, _per_index(check))
     return _outcome("erdos-interval", (1, n_max), witnesses, started)
 
 
@@ -256,17 +260,14 @@ def verify_mersenne_parity(n_max: int) -> VerificationOutcome:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
 
-    def worker(lo, hi):
-        bad = []
-        for n in range(lo, hi + 1):
-            v_legendre = catalan_v2(n)
-            v_digit = binary_digit_sum(n + 1) - 1
-            power_of_two = (n + 1) & n == 0
-            if v_legendre != v_digit or (v_legendre == 0) != power_of_two:
-                bad.append({"n": n, "v2_legendre": v_legendre, "v2_digit_sum": v_digit})
-        return bad
+    def check(n):
+        v_legendre = catalan_v2(n)
+        v_digit = binary_digit_sum(n + 1) - 1
+        power_of_two = (n + 1) & n == 0
+        if v_legendre != v_digit or (v_legendre == 0) != power_of_two:
+            yield {"n": n, "v2_legendre": v_legendre, "v2_digit_sum": v_digit}
 
-    witnesses = _first_witnesses(0, n_max, worker)
+    witnesses = _first_witnesses(0, n_max, _per_index(check))
     return _outcome("mersenne-parity", (0, n_max), witnesses, started)
 
 

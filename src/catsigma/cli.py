@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from time import perf_counter
 
 from . import __version__
@@ -33,19 +34,6 @@ from .claims import (
 from .divisor import sigma_exact, sigma_mod
 from .errors import CapacityError, InconclusiveError, InconsistencyError
 from .primes import build_prime_table
-
-_OMEGA_COLUMNS = (
-    "n",
-    "omega",
-    "omega_6kminus1",
-    "twin_pairs",
-    "pred_omega",
-    "pred_omega_corrected",
-    "pred_6kminus1",
-    "pred_twins",
-    "ratio_omega",
-)
-
 
 def _coeff_list(text: str) -> list[int]:
     try:
@@ -145,24 +133,13 @@ def _outcome_payload(outcome: VerificationOutcome, timing: bool) -> dict:
 
 
 def _record_payload(record: OmegaRecord) -> dict:
-    return {
-        "n": record.n,
-        "omega": record.omega,
-        "omega_6kminus1": record.omega_6kminus1,
-        "twin_pairs": record.twin_pairs,
-        "pred_omega": record.pred_omega,
-        "pred_omega_corrected": record.pred_omega_corrected,
-        "pred_6kminus1": record.pred_6kminus1,
-        "pred_twins": record.pred_twins,
-        "ratio_omega": record.omega / record.pred_omega,
-    }
+    return asdict(record) | {"ratio_omega": record.omega / record.pred_omega}
 
 
 def _omega_csv(records: list[dict]) -> str:
-    lines = [",".join(_OMEGA_COLUMNS)]
+    lines = [",".join(records[0])]
     for row in records:
-        lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                              for c in _OMEGA_COLUMNS))
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values()))
     return "\n".join(lines) + "\n"
 
 
@@ -170,19 +147,15 @@ def _dispatch(args, timing: bool):
     """Returns (command, parameters, outcome payload, exit code)."""
     if args.command == "factor-catalan":
         n = args.n
-        if n < 0:
-            raise ValueError("index must be nonnegative")
         table = build_prime_table(max(2 * n, 2))
-        factors = catalan_factorization(n, table).factors
+        factors = catalan_factorization(n, table)
         payload = {"n": n, "factors": [[p, e] for p, e in factors]}
         return "factor-catalan", {"n": n}, payload, 0
 
     if args.command == "sigma-catalan":
         n = args.n
-        if n < 0:
-            raise ValueError("index must be nonnegative")
         table = build_prime_table(max(2 * n, 2))
-        factors = catalan_factorization(n, table).factors
+        factors = catalan_factorization(n, table)
         if args.mod is not None:
             params = {"n": n, "mode": "mod", "modulus": args.mod}
             payload = {"n": n, "modulus": args.mod, "remainder": sigma_mod(factors, args.mod)}
@@ -192,8 +165,6 @@ def _dispatch(args, timing: bool):
         return "sigma-catalan", params, payload, 0
 
     if args.command == "digits":
-        if args.n < 0:
-            raise ValueError("index must be nonnegative")
         return "digits", {"n": args.n}, {"n": args.n, "digits": digit_count(args.n)}, 0
 
     if args.command == "verify":
@@ -241,14 +212,10 @@ def _dispatch(args, timing: bool):
 
 def _dispatch_verify(args, timing: bool):
     claim = args.claim
-    if claim == "lemma-six":
-        outcome = verify_lemma_six(args.k_max)
-        params = {"k_max": args.k_max}
-    elif claim == "family":
-        outcome = verify_family(args.z, args.k_max)
-        params = {"z": args.z, "k_max": args.k_max}
-    elif claim == "conjecture":
-        result = search_conjecture(args.b_max, args.k_max)
+    # the claim's options, named as the verifier's parameters, in parser order
+    params = {k: v for k, v in vars(args).items() if k not in ("timing", "command", "claim")}
+    if claim == "conjecture":
+        result = search_conjecture(**params)
         expected = [b for b in FAMILY_MODULI if b <= args.b_max]
         unexpected = sorted(set(result.survivors) - set(expected))
         payload = {
@@ -259,22 +226,18 @@ def _dispatch_verify(args, timing: bool):
             "eliminated": result.eliminated,
             "elapsed_ms": int(result.elapsed * 1000) if timing else 0,
         }
-        params = {"b_max": args.b_max, "k_max": args.k_max}
         return "verify conjecture", params, payload, 0 if not unexpected else 1
-    elif claim == "theorem1":
-        outcome = verify_theorem_6kminus1(args.n_min, args.n_max)
-        params = {"n_min": args.n_min, "n_max": args.n_max}
-    elif claim == "sigma-catalan":
-        outcome = verify_sigma_catalan(args.n_min, args.n_max)
-        params = {"n_min": args.n_min, "n_max": args.n_max}
-    elif claim == "erdos":
-        outcome = verify_erdos_interval(args.n_max)
-        params = {"n_max": args.n_max}
-    elif claim == "mersenne":
-        outcome = verify_mersenne_parity(args.n_max)
-        params = {"n_max": args.n_max}
-    else:
-        raise ValueError(f"unknown claim {claim!r}")
+    # built per call: the verifiers are read off this module when the
+    # command runs, so a rebinding of the names (perfbench's tracer) holds
+    verifier = {
+        "lemma-six": verify_lemma_six,
+        "family": verify_family,
+        "theorem1": verify_theorem_6kminus1,
+        "sigma-catalan": verify_sigma_catalan,
+        "erdos": verify_erdos_interval,
+        "mersenne": verify_mersenne_parity,
+    }[claim]
+    outcome = verifier(**params)
     payload = _outcome_payload(outcome, timing)
     return f"verify {claim}", params, payload, 0 if outcome.holds else 1
 

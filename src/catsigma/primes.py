@@ -3,16 +3,18 @@
 build_prime_table runs one smallest-prime-factor sieve: the entries that no
 smaller prime marks are the primes, so every table carries both the prime
 list and the spf array.  The spf array is numpy uint32, 4 bytes per integer,
-which caps a table's limit at 2**32 - 1; the limit is checked before
-anything is allocated.
+which caps a table's limit at 2**32 - 1.  That cap and the estimated peak
+memory against the physical memory are checked before anything is
+allocated.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import isqrt
+from math import isqrt, log
 
 import numpy as np
 
@@ -26,6 +28,13 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 # spf entries are stored as uint32.
 _SPF_LIMIT_MAX = 2**32 - 1
+
+# Peak memory of a table build: the uint32 spf array plus the sieve's
+# boolean masks come to about 5 bytes per integer, and each prime costs
+# about 48 bytes (its int64 array entry, a Python int and a list slot).
+# pi(x) < 1.26 x / ln x for x > 1 (Rosser and Schoenfeld, 1962).
+_BYTES_PER_INTEGER = 5
+_BYTES_PER_PRIME = 48
 
 
 class Mod6Class(enum.Enum):
@@ -71,10 +80,28 @@ class PrimeTable:
 
 
 def check_spf_limit(limit: int) -> None:
-    """Raise CapacityError when an spf table up to limit would not fit the
-    uint32 entries; cheap, so callers run it before sieving anything."""
+    """Raise CapacityError when a table up to limit would not fit the uint32
+    spf entries, or when its estimated peak memory exceeds the physical
+    memory; cheap, so callers run it before sieving anything."""
     if limit > _SPF_LIMIT_MAX:
         raise CapacityError(f"spf table limited to {_SPF_LIMIT_MAX}, {limit} requested")
+    prime_bound = 1.26 * limit / log(max(limit, 2))
+    needed = _BYTES_PER_INTEGER * (limit + 1) + int(_BYTES_PER_PRIME * prime_bound)
+    memory = _physical_memory()
+    if memory is not None and needed > memory:
+        raise CapacityError(
+            f"prime table to {limit} needs about {needed >> 20} MiB, "
+            f"more than the {memory >> 20} MiB of physical memory"
+        )
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return memory if memory > 0 else None
 
 
 def build_prime_table(limit: int) -> PrimeTable:

@@ -104,7 +104,7 @@ def test_criterion_05_sigma_catalan_divisible_by_six(table_6m):
     ok = swept.holds
     detail = ""
     for n in range(201):
-        factors = catalan_factorization(n, table_6m).factors
+        factors = catalan_factorization(n, table_6m)
         if sigma_mod(factors, 6) != sigma_exact(factors) % 6:
             ok, detail = False, f"modular/exact mismatch at n={n}"
             break
@@ -145,12 +145,12 @@ def test_criterion_10_factorization_oracle_equivalence(table_6m):
     ok, detail = True, ""
     for n in range(301):
         value = catalan_exact(n)
-        entries = catalan_factorization(n, table_6m).factors
-        if entries.value != value:
+        factors = catalan_factorization(n, table_6m)
+        if factors.value != value:
             ok, detail = False, f"product mismatch at n={n}"
             break
         by_trial, leftover = oracles.factor_by_prime_list(value, table_6m.primes_between(1, 2 * n))
-        if leftover != 1 or by_trial != dict(entries.entries):
+        if leftover != 1 or by_trial != dict(factors.entries):
             ok, detail = False, f"trial-division mismatch at n={n}"
             break
     report(10, "valuation-based factorization reconstructs catalan(n) and matches trial division, n <= 300", ok, detail)

@@ -1,6 +1,8 @@
 from math import comb, exp, log
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from catsigma import (
@@ -35,11 +37,11 @@ def test_exact_bounds():
 
 
 def test_factorization_examples(table_10k):
-    assert catalan_factorization(7, table_10k).factors.entries == ((3, 1), (11, 1), (13, 1))
-    assert catalan_factorization(2, table_10k).factors.entries == ((2, 1),)
-    assert catalan_factorization(6, table_10k).factors.entries == ((2, 2), (3, 1), (11, 1))
-    assert catalan_factorization(0, table_10k).factors.entries == ()
-    assert catalan_factorization(1, table_10k).factors.entries == ()
+    assert catalan_factorization(7, table_10k).entries == ((3, 1), (11, 1), (13, 1))
+    assert catalan_factorization(2, table_10k).entries == ((2, 1),)
+    assert catalan_factorization(6, table_10k).entries == ((2, 2), (3, 1), (11, 1))
+    assert catalan_factorization(0, table_10k).entries == ()
+    assert catalan_factorization(1, table_10k).entries == ()
 
 
 def test_factorization_requires_coverage():
@@ -52,16 +54,26 @@ def test_factorization_requires_coverage():
 
 def test_factorization_reconstructs_value(table_10k):
     for n in range(51):
-        cf = catalan_factorization(n, table_10k)
-        assert cf.index == n
-        assert cf.factors.value == catalan_exact(n)
+        assert catalan_factorization(n, table_10k).value == catalan_exact(n)
 
 
-def test_valuation_matches_factorization(table_10k):
-    for n in (6, 7, 100, 500):
-        factors = catalan_factorization(n, table_10k).factors
-        for p in table_10k.primes_between(1, 2 * n):
-            assert catalan_valuation(n, p) == factors.exponent_of(p)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 3_000))
+@example(n=6)
+@example(n=7)
+@example(n=100)
+@example(n=500)
+def test_valuation_matches_factorization(table_10k, n):
+    # the three-Legendre-sum route against the production factorization,
+    # over every prime up to 2n
+    factors = catalan_factorization(n, table_10k)
+    positive = []
+    for p in table_10k.primes_between(1, 2 * n):
+        v = catalan_valuation(n, p)
+        assert v == factors.exponent_of(p)
+        if v:
+            positive.append(p)
+    assert factors.prime_factors() == tuple(positive)
     with pytest.raises(ValueError):
         catalan_valuation(5, 4)
 
@@ -75,6 +87,7 @@ def test_v2_routes_agree_up_to_20k():
     for n in range(20_001):
         v = catalan_v2(n)
         assert v == binary_digit_sum(n + 1) - 1
+        assert v == catalan_valuation(n, 2)
         assert (v == 0) == ((n + 1) & n == 0)  # odd iff n+1 a power of two
 
 
@@ -188,6 +201,6 @@ def test_asymptotic_ratio_shrinks():
 
 def test_interval_primes_have_exponent_one(table_10k):
     for n in range(1, 301):
-        factors = catalan_factorization(n, table_10k).factors
+        factors = catalan_factorization(n, table_10k)
         for p in table_10k.primes_between(n + 1, 2 * n):
             assert factors.exponent_of(p) == 1

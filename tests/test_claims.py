@@ -128,6 +128,25 @@ def test_erdos_interval(table_10k):
     assert verify_erdos_interval(300, table_10k).holds
 
 
+def test_index_sweep_stops_at_the_tenth_witness(table_10k, monkeypatch):
+    # with every valuation 0, each prime in (n+1, 2n] is a witness; the
+    # sweep reports the first ten (n, p) pairs and checks no further prime
+    calls = []
+
+    def zero(n, p):
+        calls.append((n, p))
+        return 0
+
+    monkeypatch.setattr(claims, "_valuation", zero)
+    outcome = verify_erdos_interval(50, table_10k)
+    expected = [
+        (n, p) for n in range(1, 51) for p in table_10k.primes_between(n + 1, 2 * n)
+    ][:10]
+    assert [(w["n"], w["p"]) for w in outcome.counterexamples] == expected
+    assert all(w["exponent"] == 0 for w in outcome.counterexamples)
+    assert calls == expected
+
+
 def test_mersenne_parity_small():
     outcome = verify_mersenne_parity(5_000)
     assert outcome.holds
@@ -145,6 +164,7 @@ def test_outcomes_do_not_depend_on_block_size(table_100k, monkeypatch, block):
             verify_family(24, 3_000, table_100k),
             search_conjecture(40, 200, table_100k),
             verify_theorem_6kminus1(0, 300, table_100k),
+            verify_sigma_catalan(0, 300, table_100k),
         )
         return [replace(r, elapsed=0.0) for r in results]
 

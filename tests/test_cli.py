@@ -59,7 +59,7 @@ def test_sigma_catalan_exact_past_int_str_limit(capsys):
     code, out, _ = invoke(capsys, "sigma-catalan", "20000")
     assert code == 0
     assert sys.get_int_max_str_digits() == default  # restored after the report
-    expected = sigma_exact(catalan_factorization(20000, build_prime_table(40_000)).factors)
+    expected = sigma_exact(catalan_factorization(20000, build_prime_table(40_000)))
     sys.set_int_max_str_digits(0)
     try:
         assert len(str(expected)) > default
@@ -125,6 +125,27 @@ def test_spf_capacity_checked_before_sieving(capsys, monkeypatch):
         assert "spf table limited" in err
 
 
+def test_memory_checked_before_sieving(capsys, monkeypatch):
+    def refuse(limit):
+        pytest.fail(f"sieved to {limit} past the memory budget")
+
+    monkeypatch.setattr(primes, "_physical_memory", lambda: 64 * 2**20)
+    code, report, _ = invoke_json(capsys, "factor-catalan", "7")  # a small table still fits
+    assert code == 0
+    monkeypatch.setattr(primes, "_build_spf", refuse)
+    for argv in (
+        ("factor-catalan", "10000000"),
+        ("sigma-catalan", "10000000", "--mod", "6"),
+        ("verify", "lemma-six", "--k-max", "2000000"),
+        ("verify", "theorem1", "--n-min", "0", "--n-max", "10000000"),
+        ("omega", "--range", "2:10000000:1000000"),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "physical memory" in err
+
+
 def test_verify_conjecture(capsys):
     code, report, _ = invoke_json(capsys, "verify", "conjecture", "--b-max", "30", "--k-max", "100")
     assert code == 0
@@ -156,18 +177,32 @@ def test_coprime_graph(capsys):
     assert len(outcome["edges"]) == 15
 
 
+OMEGA_FIELDS = [
+    "n",
+    "omega",
+    "omega_6kminus1",
+    "twin_pairs",
+    "pred_omega",
+    "pred_omega_corrected",
+    "pred_6kminus1",
+    "pred_twins",
+    "ratio_omega",
+]
+
+
 def test_omega_json_and_csv(capsys):
     code, report, _ = invoke_json(capsys, "omega", "--range", "100:400:100")
     assert code == 0
     records = report["outcome"]
     assert [r["n"] for r in records] == [100, 200, 300, 400]
     assert all(r["ratio_omega"] > 0 for r in records)
+    assert all(list(r) == OMEGA_FIELDS for r in records)
 
     code, out, _ = invoke(capsys, "omega", "--range", "100:400:100", "--format", "csv")
     assert code == 0
     lines = out.strip().split("\n")
     assert len(lines) == 5
-    assert lines[0].startswith("n,omega,omega_6kminus1,twin_pairs,pred_omega")
+    assert lines[0] == ",".join(OMEGA_FIELDS)
     assert all(len(line.split(",")) == 9 for line in lines)
 
 

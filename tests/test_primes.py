@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from catsigma import CapacityError, Mod6Class, build_prime_table, classify_mod6, is_prime
+from catsigma import CapacityError, Mod6Class, build_prime_table, classify_mod6, is_prime, primes
 
 
 def test_first_primes():
@@ -36,6 +36,19 @@ def test_primes_are_spf_fixed_points():
         assert table.primes == [m for m in fixed if m >= 2]
         assert all(type(p) is int for p in table.primes)
     assert table.pi(1_300_000) == 100021  # frozen
+
+
+def test_memory_estimate_against_budget(monkeypatch):
+    assert primes._physical_memory() > 0
+    monkeypatch.setattr(primes, "_physical_memory", lambda: 100 * 2**20)
+    primes.check_spf_limit(10**7)  # about 84 MiB by the estimate
+    with pytest.raises(CapacityError, match="physical memory"):
+        primes.check_spf_limit(2 * 10**7)
+    # where the physical memory is unknown, only the uint32 cap applies
+    monkeypatch.setattr(primes, "_physical_memory", lambda: None)
+    primes.check_spf_limit(2**32 - 1)
+    with pytest.raises(CapacityError, match="spf table limited"):
+        primes.check_spf_limit(2**32)
 
 
 def test_pi_matches_trial_counting(table_10k):
