@@ -130,8 +130,7 @@ def test_memory_checked_before_sieving(capsys, monkeypatch):
         pytest.fail(f"sieved to {limit} past the memory budget")
 
     monkeypatch.setattr(primes, "_physical_memory", lambda: 64 * 2**20)
-    code, report, _ = invoke_json(capsys, "factor-catalan", "7")  # a small table still fits
-    assert code == 0
+    assert invoke(capsys, "factor-catalan", "7")[0] == 0  # a small table still fits
     monkeypatch.setattr(primes, "_build_spf", refuse)
     for argv in (
         ("factor-catalan", "10000000"),
