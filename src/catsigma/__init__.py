@@ -8,7 +8,7 @@ some references.
 
 __version__ = "0.1.0"
 
-from .asymptotics import TWIN_PRIME_CONSTANT, OmegaRecord, omega_factorial, omega_record, omega_table
+from .asymptotics import TWIN_PRIME_CONSTANT, OmegaRecord, omega_record, omega_table
 from .catalan import (
     CATALAN_EXACT_CEILING,
     ONE_BASED_OFFSET,
@@ -38,23 +38,15 @@ from .claims import (
     verify_sigma_catalan,
     verify_theorem_6kminus1,
 )
-from .divisor import DivisorPairing, divisor_list, divisor_pairing, sigma_exact, sigma_mod, sigma_mod_block
+from .divisor import sigma_exact, sigma_mod, sigma_mod_block
 from .errors import CapacityError, InconclusiveError, InconsistencyError
-from .factorint import (
-    Factorization,
-    TwoAdicSplit,
-    binary_digit_sum,
-    factor_u64,
-    legendre_valuation,
-    two_adic_split,
-)
-from .primes import Mod6Class, PrimeTable, build_prime_table, classify_mod6, is_prime
+from .factorint import Factorization, binary_digit_sum, factor_u64, legendre_valuation
+from .primes import PrimeTable, build_prime_table, is_prime
 
 __all__ = [
     "__version__",
     "TWIN_PRIME_CONSTANT",
     "OmegaRecord",
-    "omega_factorial",
     "omega_record",
     "omega_table",
     "CATALAN_EXACT_CEILING",
@@ -82,9 +74,6 @@ __all__ = [
     "verify_mersenne_parity",
     "verify_sigma_catalan",
     "verify_theorem_6kminus1",
-    "DivisorPairing",
-    "divisor_list",
-    "divisor_pairing",
     "sigma_exact",
     "sigma_mod",
     "sigma_mod_block",
@@ -92,14 +81,10 @@ __all__ = [
     "InconclusiveError",
     "InconsistencyError",
     "Factorization",
-    "TwoAdicSplit",
     "binary_digit_sum",
     "factor_u64",
     "legendre_valuation",
-    "two_adic_split",
-    "Mod6Class",
     "PrimeTable",
     "build_prime_table",
-    "classify_mod6",
     "is_prime",
 ]

@@ -38,14 +38,6 @@ class OmegaRecord:
     pred_twins: float
 
 
-def omega_factorial(n: int, table: PrimeTable) -> int:
-    """Number of distinct prime factors of n!, which is exactly the number
-    of primes <= n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return table.pi(n)
-
-
 def omega_record(n: int, table: PrimeTable) -> OmegaRecord:
     """Exact factor counts for catalan(n) plus the predicted values.
 

@@ -9,7 +9,7 @@ ONE_BASED_OFFSET to convert rather than re-deriving formulas.
 
 from __future__ import annotations
 
-from math import comb, factorial, floor, isinf, log, pi
+from math import comb, factorial, floor, isinf, log, pi, ulp
 from typing import Literal
 
 from .errors import CapacityError, InconsistencyError
@@ -150,8 +150,10 @@ def digit_count(n: int) -> int:
     if n <= CATALAN_EXACT_CEILING:
         return _decimal_digits(catalan_exact(n))
     log10 = asymptotic_log(n) / log(10)
-    # estimate error envelope: |log10 off| < (9/(8n) + 0.005) / ln 10
-    margin = (9 / (8 * n) + 0.005) / log(10) + 1e-9
+    # estimate error envelope: |log10 off| < (9/(8n) + 0.005) / ln 10, plus
+    # the float rounding of log10 itself: about six roundings (n, ln 4, the
+    # product, the sum, ln 10, the quotient), each within one ulp of log10
+    margin = (9 / (8 * n) + 0.005) / log(10) + 8 * ulp(log10) + 1e-9
     frac = log10 - floor(log10)
     if frac < margin or frac > 1 - margin:
         raise CapacityError(f"digit count at index {n} not resolvable from the estimate")
@@ -177,11 +179,21 @@ def asymptotic_log(n: int, mode: Literal["refined", "coarse"] = "refined") -> fl
 
     refined: 4**n / (n**1.5 * sqrt(pi))
     coarse:  4**n / (sqrt(pi * n) * (n + 1))
+
+    Raises CapacityError when n or the result does not fit a float.
     """
     if n < 1:
         raise ValueError("index must be >= 1")
+    try:
+        x = float(n)
+    except OverflowError:
+        raise CapacityError("index exceeds the float range") from None
     if mode == "refined":
-        return n * _LN4 - 1.5 * log(n) - 0.5 * _LN_PI
-    if mode == "coarse":
-        return n * _LN4 - 0.5 * (_LN_PI + log(n)) - log(n + 1)
-    raise ValueError(f"mode must be 'refined' or 'coarse', got {mode!r}")
+        value = x * _LN4 - 1.5 * log(n) - 0.5 * _LN_PI
+    elif mode == "coarse":
+        value = x * _LN4 - 0.5 * (_LN_PI + log(n)) - log(n + 1)
+    else:
+        raise ValueError(f"mode must be 'refined' or 'coarse', got {mode!r}")
+    if isinf(value):
+        raise CapacityError("estimate overflows a float")
+    return value

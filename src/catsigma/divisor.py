@@ -1,13 +1,7 @@
-"""Sum-of-divisors arithmetic on factorizations, exact and modular, the
-block kernel behind the sigma(z*k - 1) sweeps, and the pairing of divisors
-across the square root that explains the family claim: for the family
-moduli z, every pair sum d + n/d of n = z*k - 1 is divisible by z.  No
-sweep calls the pairing."""
+"""Sum-of-divisors arithmetic on factorizations, exact and modular, and the
+block kernel behind the sigma(z*k - 1) sweeps."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
@@ -81,44 +75,3 @@ def sigma_mod_block(values: np.ndarray, z: int, spf: np.ndarray) -> np.ndarray:
                 a[keep] for a in (live, rest, prime, power, term, closed)
             )
     return sigma % z
-
-
-def divisor_list(f: Factorization) -> list[int]:
-    """All divisors of f.value in increasing order."""
-    divs = [1]
-    for p, e in f:
-        pk = 1
-        grown = []
-        for _ in range(e):
-            pk *= p
-            grown.extend(d * pk for d in divs)
-        divs.extend(grown)
-    divs.sort()
-    return divs
-
-
-@dataclass(frozen=True)
-class DivisorPairing:
-    """sigma(value) written as a sum of (d + value/d) over divisor pairs that
-    straddle the square root.  Only defined for non-square values."""
-
-    value: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def pair_sums(self) -> list[int]:
-        return [d + q for d, q in self.pairs]
-
-    def total(self) -> int:
-        return sum(self.pair_sums())
-
-
-def divisor_pairing(n: int, f: Factorization) -> DivisorPairing:
-    """Pair every divisor d < sqrt(n) with n // d.  n must not be square."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if f.value != n:
-        raise ValueError("factorization does not describe n")
-    if isqrt(n) ** 2 == n:
-        raise ValueError(f"{n} is a perfect square; pairing undefined")
-    small = [d for d in divisor_list(f) if d * d < n]
-    return DivisorPairing(n, tuple((d, n // d) for d in small))

@@ -1,4 +1,4 @@
-"""Prime tables, deterministic primality testing, and mod-6 classes.
+"""Prime tables and deterministic primality testing.
 
 build_prime_table runs one smallest-prime-factor sieve: the entries that no
 smaller prime marks are the primes, so every table carries both the prime
@@ -10,7 +10,6 @@ allocated.
 
 from __future__ import annotations
 
-import enum
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -37,15 +36,6 @@ _BYTES_PER_INTEGER = 5
 _BYTES_PER_PRIME = 48
 
 
-class Mod6Class(enum.Enum):
-    """Residue class of a prime modulo 6."""
-
-    IS_TWO = "is_two"
-    IS_THREE = "is_three"
-    ONE_PLUS = "one_plus"  # p % 6 == 1
-    ONE_MINUS = "one_minus"  # p % 6 == 5
-
-
 @dataclass(frozen=True)
 class PrimeTable:
     """All primes up to ``limit`` and the smallest prime factor of every
@@ -53,8 +43,7 @@ class PrimeTable:
 
     ``primes`` is a list of Python ints in ascending order.  ``spf`` is a
     uint32 array of limit + 1 entries: spf[m] is the smallest prime factor
-    of m for m >= 2, and entries 0 and 1 are 0; read single entries through
-    smallest_prime_factor to get Python ints.
+    of m for m >= 2, and entries 0 and 1 are 0.
     """
 
     limit: int
@@ -72,11 +61,6 @@ class PrimeTable:
         if hi > self.limit:
             raise ValueError(f"range end {hi} exceeds table limit {self.limit}")
         return self.primes[bisect_right(self.primes, lo) : bisect_right(self.primes, hi)]
-
-    def smallest_prime_factor(self, m: int) -> int:
-        if not 2 <= m <= self.limit:
-            raise ValueError(f"{m} outside [2, {self.limit}]")
-        return int(self.spf[m])
 
 
 def check_spf_limit(limit: int) -> None:
@@ -152,14 +136,3 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def classify_mod6(p: int) -> Mod6Class:
-    """Residue class of the prime p; every prime > 3 is 1 or 5 mod 6."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p == 2:
-        return Mod6Class.IS_TWO
-    if p == 3:
-        return Mod6Class.IS_THREE
-    return Mod6Class.ONE_PLUS if p % 6 == 1 else Mod6Class.ONE_MINUS

@@ -1,7 +1,8 @@
 """Brute-force reference implementations for cross-checking test results.
 
 Everything here is deliberately naive and independent of the package's own
-code paths: trial division, divisor scans, and chunked digit counting.
+code paths: trial division, divisor scans and sieves, bit tricks, and
+chunked digit counting.
 """
 
 from math import isqrt
@@ -43,6 +44,24 @@ def sigma_by_scan(n: int) -> int:
     if r * r == n:
         total -= r
     return total
+
+
+def divisor_pairs(limit: int, z: int = 1, r: int = 0):
+    """Yield (m, d, m // d) for every m <= limit with m % z == r and every
+    divisor d of m with d * d < m, by sieving: for each d <= sqrt(limit),
+    walk the multiples m = d * q with q > d.  The q with d * q % z == r
+    repeat mod z, so each class found among the first z values of q is
+    walked in steps of z."""
+    for d in range(1, isqrt(limit) + 1):
+        for q0 in range(d + 1, d + 1 + z):
+            if d * q0 % z == r:
+                for q in range(q0, limit // d + 1, z):
+                    yield d * q, d, q
+
+
+def v2(x: int) -> int:
+    """Exponent of 2 in the positive integer x, from its lowest set bit."""
+    return (x & -x).bit_length() - 1
 
 
 def factor_by_prime_list(value: int, primes) -> tuple[dict[int, int], int]:

@@ -2,28 +2,11 @@ from math import log
 
 import pytest
 
-from catsigma import (
-    TWIN_PRIME_CONSTANT,
-    omega_factorial,
-    omega_record,
-    omega_table,
-)
+from catsigma import TWIN_PRIME_CONSTANT, omega_record, omega_table
 
 
 def test_twin_prime_constant_value():
     assert TWIN_PRIME_CONSTANT == 0.66016
-
-
-@pytest.mark.parametrize("n,expected", [(10, 4), (100, 25), (1000, 168)])
-def test_omega_factorial(n, expected, table_10k):
-    assert omega_factorial(n, table_10k) == expected
-
-
-def test_omega_factorial_validation(table_10k):
-    with pytest.raises(ValueError):
-        omega_factorial(0, table_10k)
-    with pytest.raises(ValueError):
-        omega_factorial(20_000, table_10k)
 
 
 def test_record_n7(table_10k):

@@ -19,7 +19,6 @@ from catsigma import (
     digit_count,
     product_form,
     stirling_log_estimate,
-    two_adic_split,
 )
 
 KNOWN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
@@ -93,7 +92,7 @@ def test_v2_routes_agree_up_to_20k():
 
 def test_v2_matches_two_adic_split_of_value(table_10k):
     for n in range(201):
-        assert catalan_v2(n) == two_adic_split(catalan_exact(n)).exponent
+        assert catalan_v2(n) == oracles.v2(catalan_exact(n))
 
 
 @pytest.mark.parametrize(
@@ -131,8 +130,30 @@ def test_digit_count_examples(n, expected):
 
 
 def test_digit_count_matches_chunked_oracle():
-    for n in (1, 10, 100, 1023, 5000):
-        assert digit_count(n) == oracles.decimal_digits(catalan_exact(n))
+    # every n <= 2000, across many powers of ten; the value comes from the
+    # recurrence C(n+1) = C(n) * 2(2n+1) / (n+2), not from catalan_exact
+    c = 1
+    for n in range(2_001):
+        assert digit_count(n) == oracles.decimal_digits(c)
+        c = c * 2 * (2 * n + 1) // (n + 2)
+
+
+@pytest.mark.parametrize(
+    "n,digits",
+    [
+        (64775590242875, 38998791299869),
+        (587576775742018, 353756468507730),
+        (822464890808878, 495173205027925),
+    ],
+)
+def test_digit_count_is_never_wrong_past_the_ceiling(n, digits):
+    # true counts from log-gamma at 80 significant digits; log10 C_n lies
+    # above an integer by less than its float rounding here, so the
+    # estimate may refuse but must not return a count one short
+    try:
+        assert digit_count(n) == digits
+    except CapacityError:
+        pass
 
 
 def test_digit_count_estimate_route(monkeypatch):
@@ -187,6 +208,11 @@ def test_asymptotic_validation():
         asymptotic_log(0)
     with pytest.raises(ValueError):
         asymptotic_log(10, "sharp")
+    for mode in ("refined", "coarse"):
+        with pytest.raises(CapacityError):
+            asymptotic_log(10**400, mode)  # no float holds the index
+        with pytest.raises(CapacityError):
+            asymptotic_log(15 * 10**307, mode)  # n * ln 4 overflows
 
 
 def test_asymptotic_ratio_shrinks():

@@ -227,6 +227,11 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, "estimate", "--kind", "stirling", "--n", "5000")
     assert code == 2  # capacity error
+    huge = str(10**400)  # past the float range
+    for argv in (("digits", huge), ("estimate", "--kind", "asymptotic", "--n", huge)):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "float range" in err
 
 
 def test_reports_are_byte_stable(capsys):

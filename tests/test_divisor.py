@@ -6,15 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catsigma import (
-    Factorization,
-    divisor_list,
-    divisor_pairing,
-    factor_u64,
-    sigma_exact,
-    sigma_mod,
-    sigma_mod_block,
-)
+from catsigma import FAMILY_MODULI, Factorization, factor_u64, sigma_exact, sigma_mod, sigma_mod_block
 
 
 @pytest.mark.parametrize(
@@ -90,50 +82,31 @@ def test_sigma_mod_agrees_with_exact(table_100k, m):
         assert sigma_mod(f, m) == sigma_exact(f) % m
 
 
-def test_divisor_list(table_100k):
-    assert divisor_list(factor_u64(36, table_100k)) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
-    assert divisor_list(Factorization(())) == [1]
-
-
-def test_pairing_examples(table_100k):
-    p35 = divisor_pairing(35, factor_u64(35, table_100k))
-    assert p35.pairs == ((1, 35), (5, 7))
-    assert p35.pair_sums() == [36, 12]
-    assert p35.total() == 48
-
-    p5 = divisor_pairing(5, factor_u64(5, table_100k))
-    assert p5.pairs == ((1, 5),)
-    assert p5.total() == 6
-
-
-def test_pairing_rejects_squares_and_mismatches(table_100k):
-    with pytest.raises(ValueError):
-        divisor_pairing(9, factor_u64(9, table_100k))
-    with pytest.raises(ValueError):
-        divisor_pairing(1, Factorization(()))
-    with pytest.raises(ValueError):
-        divisor_pairing(36, factor_u64(35, table_100k))
-
-
-def test_pair_sums_total_sigma_up_to_1e5(table_6m):
+def test_pair_sums_total_sigma_up_to_1e5(table_100k):
+    # sigma(n) is the sum of d + n/d over the divisor pairs across sqrt(n)
+    totals = [0] * 100_001
+    for m, d, q in oracles.divisor_pairs(100_000):
+        totals[m] += d + q
     for n in range(2, 100_001):
-        if isqrt(n) ** 2 == n:
-            continue
-        f = factor_u64(n, table_6m)
-        pairing = divisor_pairing(n, f)
-        assert pairing.total() == sigma_exact(f)
-        # every divisor appears in exactly one pair
-        assert len(pairing.pairs) * 2 == len(divisor_list(f))
+        if isqrt(n) ** 2 != n:
+            assert totals[n] == sigma_exact(factor_u64(n, table_100k))
 
 
-def test_six_k_minus_one_pair_sums_split_into_proof_halves(table_6m):
-    # for n = 6k-1 each pair sum is even and divisible by 3, pairwise
-    for k in range(1, 100_001):
-        n = 6 * k - 1
-        for d, q in divisor_pairing(n, factor_u64(n, table_6m)).pairs:
-            s = d + q
-            assert s % 2 == 0
-            assert s % 3 == 0
+@pytest.mark.parametrize("z", FAMILY_MODULI)
+def test_family_pair_sums_divisible_by_z(z):
+    # the pairing behind the family claim: every pair sum d + m/d of
+    # m = z*k - 1 is divisible by z, so z divides sigma(m)
+    seen = set()
+    for m, d, q in oracles.divisor_pairs(600_000, z, z - 1):
+        assert (d + q) % z == 0, (m, d, q)
+        seen.add(m)
+    assert len(seen) == (600_000 + 1) // z  # every m = z*k - 1 <= 6*10**5
+
+
+def test_pair_sums_fail_outside_the_family():
+    # negative control: z = 5 fails first at 14 = 2 * 7, whose pair sum is 9
+    bad = [(m, d) for m, d, q in oracles.divisor_pairs(1_000, 5, 4) if (d + q) % 5]
+    assert min(bad) == (14, 2)
 
 
 def test_sigma_multiplicative_over_coprime_pairs(table_6m):

@@ -3,13 +3,7 @@ from math import factorial
 import pytest
 
 import oracles
-from catsigma import (
-    Factorization,
-    binary_digit_sum,
-    factor_u64,
-    legendre_valuation,
-    two_adic_split,
-)
+from catsigma import Factorization, binary_digit_sum, factor_u64, legendre_valuation
 
 
 @pytest.mark.parametrize("n,p,expected", [(10, 2, 8), (8, 2, 7), (0, 5, 0), (1, 7, 0)])
@@ -78,20 +72,18 @@ def test_binary_digit_sum_rejects_negative():
         (125, ((5, 3),)),
         (429, ((3, 1), (11, 1), (13, 1))),
         (2, ((2, 1),)),
-        (2**62, ((2, 62),)),
     ],
 )
-def test_factor_examples(n, expected):
-    assert factor_u64(n).entries == expected
+def test_factor_examples(table_10k, n, expected):
+    assert factor_u64(n, table_10k).entries == expected
 
 
-def test_factor_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        factor_u64(1)
-    with pytest.raises(ValueError):
-        factor_u64(0)
-    with pytest.raises(ValueError):
-        factor_u64(2**64)
+def test_factor_rejects_out_of_range(table_10k):
+    # the domain is [2, table.limit]; no route factors past the table
+    for n in (1, 0, 10_001, 2**64):
+        with pytest.raises(ValueError):
+            factor_u64(n, table_10k)
+    assert factor_u64(10_000, table_10k).value == 10_000
 
 
 def test_factor_spf_path_exhaustive(table_100k):
@@ -110,28 +102,6 @@ def test_factor_spf_path_matches_trial_division(table_100k):
         assert dict(factor_u64(n, table_100k).entries) == oracles.trial_factor(n)
 
 
-@pytest.mark.parametrize(
-    "n,expected",
-    [
-        (1000003 * 1000033, {1000003: 1, 1000033: 1}),
-        (1000003**2, {1000003: 2}),
-        (99999931**2, {99999931: 2}),
-        (18446744073709551557, {18446744073709551557: 1}),  # largest prime < 2**64
-        (2 * 3 * 5 * 7 * 1000003, {2: 1, 3: 1, 5: 1, 7: 1, 1000003: 1}),
-        (2**63, {2: 63}),
-    ],
-)
-def test_factor_generic_path(n, expected):
-    assert dict(factor_u64(n).entries) == expected
-
-
-def test_factor_generic_is_reproducible():
-    n = 6 * 10**18 + 1
-    first = factor_u64(n)
-    assert first.entries == factor_u64(n).entries
-    assert first.value == n
-
-
 def test_factorization_validation():
     with pytest.raises(ValueError):
         Factorization(((5, 1), (3, 1)))  # not increasing
@@ -144,19 +114,3 @@ def test_factorization_validation():
     assert f.exponent_of(7) == 0
     assert len(f) == 2
 
-
-def test_two_adic_split():
-    s = two_adic_split(48)
-    assert (s.exponent, s.odd_part) == (4, 3)
-    assert s.value == 48
-    assert two_adic_split(35).exponent == 0
-    assert two_adic_split(1).odd_part == 1
-    with pytest.raises(ValueError):
-        two_adic_split(0)
-
-
-def test_two_adic_split_odd_part_is_odd():
-    for value in range(1, 2_000):
-        s = two_adic_split(value)
-        assert s.odd_part % 2 == 1
-        assert s.value == value

