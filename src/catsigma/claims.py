@@ -1,19 +1,19 @@
 """One verifier per divisibility claim.
 
-Each verifier sweeps an integer range, collects counterexample witnesses,
-and returns a VerificationOutcome.  Sweeps run serially in ascending order
-over contiguous blocks that start at 16 elements and double up to 50k, so
-the reported witnesses are always the first ten.  The sigma(z*k - 1)
-sweeps compute a whole block of remainders with one sigma_mod_block call,
-stop after the block that yields the tenth witness, and factor only the
-values they report.  The index sweeps check one n at a time and stop at
-the tenth witness itself.  Witness records are plain dicts so they
-serialize as-is.
+Each verifier builds the prime table its range needs, sweeps the range in
+ascending order, and returns a VerificationOutcome carrying the first ten
+counterexample witnesses; the sweep stops once it has them.  The
+conjecture search keeps only the first failing k of each modulus.  The
+sigma(z*k - 1) sweeps (lemma six, the family, the conjecture search) share
+one generator that computes a block of remainders with one sigma_mod_block
+call, over blocks that start at 16 values of k and double up to 50k, and
+factors only the values it reports.  The index sweeps check one n at a
+time.  Witness records are plain dicts so they serialize as-is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from math import gcd
 from time import perf_counter
@@ -24,7 +24,7 @@ from .catalan import _valuation, catalan_factorization, catalan_v2
 from .divisor import sigma_exact, sigma_mod, sigma_mod_block
 from .errors import InconclusiveError
 from .factorint import binary_digit_sum, factor_u64
-from .primes import PrimeTable, build_prime_table, check_spf_limit
+from .primes import PrimeTable, build_prime_table
 
 # The six moduli z for which z | sigma(z*k - 1) holds for every k; the
 # conjecture search asks whether any other modulus shares the property.
@@ -39,8 +39,9 @@ SHARED_DIVISOR = "shared_divisor"
 
 _BLOCK = 50_000
 _MAX_WITNESSES = 10
-# First block of every sweep: most conjecture moduli and failing families
-# fail at a small k, so the blocks start small and double up to _BLOCK.
+# First block of every sigma(z*k - 1) sweep: most conjecture moduli and
+# failing families fail at a small k, so the blocks start small and double
+# up to _BLOCK.
 _FIRST_PROBE_BLOCK = 16
 
 
@@ -71,6 +72,9 @@ class CoprimalityEdge:
 
 
 def _outcome(claim_id, span, witnesses, started) -> VerificationOutcome:
+    """The outcome of a sweep whose witnesses arrive lazily in ascending
+    order; the sweep runs only as far as the first _MAX_WITNESSES."""
+    witnesses = list(islice(witnesses, _MAX_WITNESSES))
     return VerificationOutcome(
         claim_id=claim_id,
         range=span,
@@ -80,55 +84,23 @@ def _outcome(claim_id, span, witnesses, started) -> VerificationOutcome:
     )
 
 
-def _sweep(lo: int, hi: int, worker):
-    """Witnesses of worker(a, b) over consecutive blocks covering [lo, hi],
-    in ascending order.  Blocks start at _FIRST_PROBE_BLOCK elements and
-    double up to _BLOCK; a block runs only when the caller asks for more
-    witnesses than the earlier blocks gave."""
-    size = min(_FIRST_PROBE_BLOCK, _BLOCK)
-    while lo <= hi:
-        yield from worker(lo, min(lo + size - 1, hi))
+def _sigma_failures(z: int, k_max: int, table: PrimeTable):
+    """(k, remainder) for each k in [1, k_max] with z not dividing
+    sigma(z*k - 1), in ascending k.  Each block of k is one sigma_mod_block
+    call; blocks start at _FIRST_PROBE_BLOCK values and double up to
+    _BLOCK, and a block runs only when the caller asks for more failures
+    than the earlier blocks gave."""
+    lo, size = 1, min(_FIRST_PROBE_BLOCK, _BLOCK)
+    while lo <= k_max:
+        ks = np.arange(lo, min(lo + size - 1, k_max) + 1, dtype=np.int64)
+        remainders = sigma_mod_block(z * ks - 1, z, table.spf)
+        bad = np.flatnonzero(remainders)[:_MAX_WITNESSES]  # no caller asks for more
+        hits = zip(ks[bad].tolist(), remainders[bad].tolist())
+        # freed before the caller resumes, so one block is held at a time
+        del ks, remainders
+        yield from hits
         lo += size
         size = min(2 * size, _BLOCK)
-
-
-def _first_witnesses(lo: int, hi: int, worker) -> list:
-    return list(islice(_sweep(lo, hi, worker), _MAX_WITNESSES))
-
-
-def _per_index(check):
-    """Block worker yielding the witnesses of check(n) for each n in
-    [lo, hi] in turn; lazy, so a sweep stops at the witness it needs."""
-
-    def worker(lo, hi):
-        for n in range(lo, hi + 1):
-            yield from check(n)
-
-    return worker
-
-
-def _ensure_table(table: PrimeTable | None, needed: int) -> PrimeTable:
-    """A table covering [2, needed]: the caller's, or a new one.  The spf
-    ceiling and the memory estimate are checked before anything is sieved."""
-    check_spf_limit(needed)
-    if table is None:
-        return build_prime_table(max(needed, 2))
-    if table.limit < needed:
-        raise ValueError(f"table limit {table.limit} below required {needed}")
-    return table
-
-
-def _sigma_failures(z: int, table: PrimeTable):
-    """Block worker yielding (k, remainder) for each k in [lo, hi] with
-    z not dividing sigma(z*k - 1), in ascending k."""
-
-    def worker(lo, hi):
-        ks = np.arange(lo, hi + 1, dtype=np.int64)
-        remainders = sigma_mod_block(z * ks - 1, z, table.spf)
-        bad = np.flatnonzero(remainders)[:_MAX_WITNESSES]  # no block is asked for more
-        return zip(ks[bad].tolist(), remainders[bad].tolist())
-
-    return worker
 
 
 def _sigma_witness(k: int, z: int, remainder: int, table: PrimeTable) -> dict:
@@ -138,18 +110,16 @@ def _sigma_witness(k: int, z: int, remainder: int, table: PrimeTable) -> dict:
     return {"k": k, "value": n, "sigma": sigma, "remainder": remainder}
 
 
-def verify_lemma_six(k_max: int, table: PrimeTable | None = None) -> VerificationOutcome:
-    """Check 6 | sigma(6k - 1) for every 1 <= k <= k_max."""
-    started = perf_counter()
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    table = _ensure_table(table, 6 * k_max - 1)
-    hits = _first_witnesses(1, k_max, _sigma_failures(6, table))
-    witnesses = [{"k": k, "value": 6 * k - 1, "remainder": r} for k, r in hits]
-    return _outcome("lemma-six", (1, k_max), witnesses, started)
+def verify_lemma_six(k_max: int) -> VerificationOutcome:
+    """Check 6 | sigma(6k - 1) for every 1 <= k <= k_max: the z = 6 member
+    of the family.  No witness can exist: every divisor d of m = 6k - 1 is
+    coprime to 6, and m is -1 mod 6, hence no square, so the divisors pair
+    off as d, m/d with one 1 and the other -1 mod 6, and each pair sums to
+    0 mod 6."""
+    return replace(verify_family(6, k_max), claim_id="lemma-six")
 
 
-def verify_family(z: int, k_max: int, table: PrimeTable | None = None) -> VerificationOutcome:
+def verify_family(z: int, k_max: int) -> VerificationOutcome:
     """Check z | sigma(z*k - 1) for 1 <= k <= k_max; witnesses carry the
     smallest violating k values."""
     started = perf_counter()
@@ -157,9 +127,8 @@ def verify_family(z: int, k_max: int, table: PrimeTable | None = None) -> Verifi
         raise ValueError("z must be >= 2")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    table = _ensure_table(table, z * k_max - 1)
-    hits = _first_witnesses(1, k_max, _sigma_failures(z, table))
-    witnesses = [_sigma_witness(k, z, r, table) for k, r in hits]
+    table = build_prime_table(max(z * k_max - 1, 2))
+    witnesses = (_sigma_witness(k, z, r, table) for k, r in _sigma_failures(z, k_max, table))
     return _outcome(f"family-z{z}", (1, k_max), witnesses, started)
 
 
@@ -178,7 +147,7 @@ class ConjectureSearch:
     elapsed: float = 0.0
 
 
-def search_conjecture(b_max: int, k_max: int, table: PrimeTable | None = None) -> ConjectureSearch:
+def search_conjecture(b_max: int, k_max: int) -> ConjectureSearch:
     """For each b in [2, b_max], find the minimal k <= k_max with
     b not dividing sigma(b*k - 1), or record b as a survivor."""
     started = perf_counter()
@@ -186,11 +155,11 @@ def search_conjecture(b_max: int, k_max: int, table: PrimeTable | None = None) -
         raise ValueError("b_max must be >= 2")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    table = _ensure_table(table, b_max * k_max - 1)
+    table = build_prime_table(max(b_max * k_max - 1, 2))
 
     survivors, eliminated = [], []
     for b in range(2, b_max + 1):
-        hit = next(_sweep(1, k_max, _sigma_failures(b, table)), None)
+        hit = next(_sigma_failures(b, k_max, table), None)
         if hit is None:
             survivors.append(b)
             continue
@@ -200,56 +169,56 @@ def search_conjecture(b_max: int, k_max: int, table: PrimeTable | None = None) -
     return ConjectureSearch(b_max, k_max, survivors, eliminated, perf_counter() - started)
 
 
-def verify_theorem_6kminus1(n_min: int, n_max: int, table: PrimeTable | None = None) -> VerificationOutcome:
+def verify_theorem_6kminus1(n_min: int, n_max: int) -> VerificationOutcome:
     """Check that each Catalan number in the index range has at least one
     prime factor congruent to 5 mod 6; witnesses list the indices without."""
     started = perf_counter()
     if n_min < 0 or n_max < n_min:
         raise ValueError("need 0 <= n_min <= n_max")
-    table = _ensure_table(table, max(2 * n_max, 2))
+    table = build_prime_table(max(2 * n_max, 2))
 
-    def check(n):
-        factors = catalan_factorization(n, table)
-        if not any(p % 6 == 5 for p, _ in factors):
-            yield {"n": n, "primes": list(factors.prime_factors())}
+    def witnesses():
+        for n in range(n_min, n_max + 1):
+            factors = catalan_factorization(n, table)
+            if not any(p % 6 == 5 for p, _ in factors):
+                yield {"n": n, "primes": list(factors.prime_factors())}
 
-    witnesses = _first_witnesses(n_min, n_max, _per_index(check))
-    return _outcome("theorem1", (n_min, n_max), witnesses, started)
+    return _outcome("theorem1", (n_min, n_max), witnesses(), started)
 
 
-def verify_sigma_catalan(n_min: int, n_max: int, table: PrimeTable | None = None) -> VerificationOutcome:
+def verify_sigma_catalan(n_min: int, n_max: int) -> VerificationOutcome:
     """Check 6 | sigma(catalan(n)) over the index range, working modulo 6
     on the factorization (the exact sigma value is never formed)."""
     started = perf_counter()
     if n_min < 0 or n_max < n_min:
         raise ValueError("need 0 <= n_min <= n_max")
-    table = _ensure_table(table, max(2 * n_max, 2))
+    table = build_prime_table(max(2 * n_max, 2))
 
-    def check(n):
-        r = sigma_mod(catalan_factorization(n, table), 6)
-        if r:
-            yield {"n": n, "remainder": r}
+    def witnesses():
+        for n in range(n_min, n_max + 1):
+            r = sigma_mod(catalan_factorization(n, table), 6)
+            if r:
+                yield {"n": n, "remainder": r}
 
-    witnesses = _first_witnesses(n_min, n_max, _per_index(check))
-    return _outcome("sigma-catalan", (n_min, n_max), witnesses, started)
+    return _outcome("sigma-catalan", (n_min, n_max), witnesses(), started)
 
 
-def verify_erdos_interval(n_max: int, table: PrimeTable | None = None) -> VerificationOutcome:
+def verify_erdos_interval(n_max: int) -> VerificationOutcome:
     """Check that every prime in (n+1, 2n] divides the nth Catalan number
     with exponent exactly 1, for all n <= n_max."""
     started = perf_counter()
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    table = _ensure_table(table, 2 * n_max)
+    table = build_prime_table(2 * n_max)
 
-    def check(n):
-        for p in table.primes_between(n + 1, 2 * n):
-            v = _valuation(n, p)
-            if v != 1:
-                yield {"n": n, "p": p, "exponent": v}
+    def witnesses():
+        for n in range(1, n_max + 1):
+            for p in table.primes_between(n + 1, 2 * n):
+                v = _valuation(n, p)
+                if v != 1:
+                    yield {"n": n, "p": p, "exponent": v}
 
-    witnesses = _first_witnesses(1, n_max, _per_index(check))
-    return _outcome("erdos-interval", (1, n_max), witnesses, started)
+    return _outcome("erdos-interval", (1, n_max), witnesses(), started)
 
 
 def verify_mersenne_parity(n_max: int) -> VerificationOutcome:
@@ -260,15 +229,15 @@ def verify_mersenne_parity(n_max: int) -> VerificationOutcome:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
 
-    def check(n):
-        v_legendre = catalan_v2(n)
-        v_digit = binary_digit_sum(n + 1) - 1
-        power_of_two = (n + 1) & n == 0
-        if v_legendre != v_digit or (v_legendre == 0) != power_of_two:
-            yield {"n": n, "v2_legendre": v_legendre, "v2_digit_sum": v_digit}
+    def witnesses():
+        for n in range(n_max + 1):
+            v_legendre = catalan_v2(n)
+            v_digit = binary_digit_sum(n + 1) - 1
+            power_of_two = (n + 1) & n == 0
+            if v_legendre != v_digit or (v_legendre == 0) != power_of_two:
+                yield {"n": n, "v2_legendre": v_legendre, "v2_digit_sum": v_digit}
 
-    witnesses = _first_witnesses(0, n_max, _per_index(check))
-    return _outcome("mersenne-parity", (0, n_max), witnesses, started)
+    return _outcome("mersenne-parity", (0, n_max), witnesses(), started)
 
 
 def analyze_coprimality(a: int, b: int, search_bound: int = 1000) -> CoprimalityEdge:

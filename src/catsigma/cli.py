@@ -72,9 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sigma-catalan", help="sum of divisors of catalan(n)")
     p.add_argument("n", type=int)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--mod", type=int, metavar="M", help="report sigma mod M instead of the exact value")
-    group.add_argument("--exact", action="store_true", help="report the exact value (default)")
+    p.add_argument("--mod", type=int, metavar="M", help="report sigma mod M instead of the exact value")
 
     p = sub.add_parser("digits", help="decimal digit count of catalan(n)")
     p.add_argument("n", type=int)
@@ -145,17 +143,12 @@ def _omega_csv(records: list[dict]) -> str:
 
 def _dispatch(args, timing: bool):
     """Returns (command, parameters, outcome payload, exit code)."""
-    if args.command == "factor-catalan":
+    if args.command in ("factor-catalan", "sigma-catalan"):
         n = args.n
-        table = build_prime_table(max(2 * n, 2))
-        factors = catalan_factorization(n, table)
-        payload = {"n": n, "factors": [[p, e] for p, e in factors]}
-        return "factor-catalan", {"n": n}, payload, 0
-
-    if args.command == "sigma-catalan":
-        n = args.n
-        table = build_prime_table(max(2 * n, 2))
-        factors = catalan_factorization(n, table)
+        factors = catalan_factorization(n, build_prime_table(max(2 * n, 2)))
+        if args.command == "factor-catalan":
+            payload = {"n": n, "factors": [[p, e] for p, e in factors]}
+            return "factor-catalan", {"n": n}, payload, 0
         if args.mod is not None:
             params = {"n": n, "mode": "mod", "modulus": args.mod}
             payload = {"n": n, "modulus": args.mod, "remainder": sigma_mod(factors, args.mod)}
@@ -177,11 +170,7 @@ def _dispatch(args, timing: bool):
             "search_bound": args.search_bound,
             "always_coprime": sum(e.shared_divisor is None for e in edges),
             "shared_divisor": sum(e.shared_divisor is not None for e in edges),
-            "edges": [
-                {"a": e.a, "b": e.b, "status": e.status,
-                 "shared_divisor": e.shared_divisor, "witness_k": e.witness_k}
-                for e in edges
-            ],
+            "edges": [asdict(e) for e in edges],
         }
         params = {"coeffs": sorted(args.coeffs), "search_bound": args.search_bound}
         return "coprime-graph", params, payload, 0

@@ -60,10 +60,10 @@ def test_criterion_01_lemma_six_full_sweep(capsys):
     report(1, "6 | sigma(6k-1) for k <= 10^6", ok, f"{elapsed:.1f}s")
 
 
-def test_criterion_02_family_sweeps(table_6m):
+def test_criterion_02_family_sweeps():
     failures = []
     for z in FAMILY_MODULI:
-        outcome = verify_family(z, 10**5, table_6m)
+        outcome = verify_family(z, 10**5)
         if not outcome.holds or outcome.counterexamples:
             failures.append(z)
     report(2, "z | sigma(z*k-1) for k <= 10^5, z in {3,4,6,8,12,24}", not failures, str(failures))
@@ -91,16 +91,16 @@ def test_criterion_03_conjecture_search(capsys):
     report(3, "survivors of b | sigma(b*k-1) for b <= 100 are exactly {3,4,6,8,12,24}", ok, detail)
 
 
-def test_criterion_04_six_k_minus_one_factor(table_6m):
-    swept = verify_theorem_6kminus1(6, 5000, table_6m)
-    low = verify_theorem_6kminus1(0, 5, table_6m)
+def test_criterion_04_six_k_minus_one_factor():
+    swept = verify_theorem_6kminus1(6, 5000)
+    low = verify_theorem_6kminus1(0, 5)
     exceptions = {w["n"] for w in low.counterexamples}
     ok = swept.holds and exceptions == set(SMALL_INDEX_EXCEPTIONS)
     report(4, "catalan(n) has a 6k-1 prime factor for 6 <= n <= 5000; exceptions below 6 are {0,1,2,4,5}", ok)
 
 
 def test_criterion_05_sigma_catalan_divisible_by_six(table_6m):
-    swept = verify_sigma_catalan(6, 2000, table_6m)
+    swept = verify_sigma_catalan(6, 2000)
     ok = swept.holds
     detail = ""
     for n in range(201):
@@ -116,8 +116,8 @@ def test_criterion_06_parity_criterion():
     report(6, "catalan(n) odd iff n+1 a power of two, Legendre and digit-sum v2 agree, n <= 10^5", outcome.holds)
 
 
-def test_criterion_07_interval_primes(table_6m):
-    outcome = verify_erdos_interval(2000, table_6m)
+def test_criterion_07_interval_primes():
+    outcome = verify_erdos_interval(2000)
     report(7, "every prime in (n+1, 2n] divides catalan(n) exactly once, n <= 2000", outcome.holds)
 
 

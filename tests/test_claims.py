@@ -11,6 +11,7 @@ from catsigma import (
     analyze_coprimality,
     claims,
     coprimality_graph,
+    primes,
     search_conjecture,
     verify_erdos_interval,
     verify_family,
@@ -21,9 +22,9 @@ from catsigma import (
 )
 
 
-def test_lemma_six_holds_small(table_100k):
+def test_lemma_six_holds_small():
     for k_max in (1, 21, 10_000):
-        outcome = verify_lemma_six(k_max, table_100k)
+        outcome = verify_lemma_six(k_max)
         assert outcome.holds
         assert outcome.counterexamples == []
         assert outcome.range == (1, k_max)
@@ -35,13 +36,13 @@ def test_lemma_six_validation():
         verify_lemma_six(0)
 
 
-def test_family_holds_for_known_moduli(table_100k):
+def test_family_holds_for_known_moduli():
     for z in FAMILY_MODULI:
-        assert verify_family(z, 2_000, table_100k).holds
+        assert verify_family(z, 2_000).holds
 
 
-def test_family_counterexamples_reverify(table_100k):
-    outcome = verify_family(5, 100, table_100k)
+def test_family_counterexamples_reverify():
+    outcome = verify_family(5, 100)
     assert not outcome.holds
     first = outcome.counterexamples[0]
     assert first == {"k": 1, "value": 4, "sigma": 7, "remainder": 2}
@@ -51,14 +52,14 @@ def test_family_counterexamples_reverify(table_100k):
         assert sigma % 5 == witness["remainder"] != 0
 
 
-def test_family_z2_dies_at_k1(table_100k):
-    outcome = verify_family(2, 3, table_100k)
+def test_family_z2_dies_at_k1():
+    outcome = verify_family(2, 3)
     assert not outcome.holds
     assert outcome.counterexamples[0] == {"k": 1, "value": 1, "sigma": 1, "remainder": 1}
 
 
-def test_family_witness_list_is_capped(table_100k):
-    outcome = verify_family(5, 20_000, table_100k)
+def test_family_witness_list_is_capped():
+    outcome = verify_family(5, 20_000)
     assert not outcome.holds
     assert len(outcome.counterexamples) == 10
     assert [w["k"] for w in outcome.counterexamples] == sorted(
@@ -73,22 +74,22 @@ def test_family_validation():
         verify_family(5, 0)
 
 
-def test_outcomes_hold_iff_no_counterexamples(table_100k):
-    good = verify_family(6, 500, table_100k)
-    bad = verify_family(7, 500, table_100k)
+def test_outcomes_hold_iff_no_counterexamples():
+    good = verify_family(6, 500)
+    bad = verify_family(7, 500)
     assert good.holds and not good.counterexamples
     assert not bad.holds and bad.counterexamples
 
 
-def test_conjecture_search_small(table_100k):
-    result = search_conjecture(24, 1_000, table_100k)
+def test_conjecture_search_small():
+    result = search_conjecture(24, 1_000)
     assert result.survivors == [3, 4, 6, 8, 12, 24]
     eliminated_b = {w["b"] for w in result.eliminated}
     assert eliminated_b == set(range(2, 25)) - set(result.survivors)
 
 
-def test_conjecture_search_minimal_witnesses(table_100k):
-    result = search_conjecture(10, 1_000, table_100k)
+def test_conjecture_search_minimal_witnesses():
+    result = search_conjecture(10, 1_000)
     for witness in result.eliminated:
         b, k = witness["b"], witness["witness_k"]
         n = b * k - 1
@@ -99,33 +100,33 @@ def test_conjecture_search_minimal_witnesses(table_100k):
             assert (1 if m == 1 else oracles.sigma_by_scan(m)) % b == 0
 
 
-def test_conjecture_search_b2_dies_immediately(table_100k):
-    result = search_conjecture(2, 1, table_100k)
+def test_conjecture_search_b2_dies_immediately():
+    result = search_conjecture(2, 1)
     assert result.survivors == []
     assert result.eliminated[0]["witness_k"] == 1
 
 
-def test_theorem_range_examples(table_10k):
-    assert verify_theorem_6kminus1(3, 3, table_10k).holds  # value 5 is 6*1-1
-    single = verify_theorem_6kminus1(4, 4, table_10k)
+def test_theorem_range_examples():
+    assert verify_theorem_6kminus1(3, 3).holds  # value 5 is 6*1-1
+    single = verify_theorem_6kminus1(4, 4)
     assert not single.holds
     assert single.counterexamples[0]["primes"] == [2, 7]
-    low = verify_theorem_6kminus1(0, 5, table_10k)
+    low = verify_theorem_6kminus1(0, 5)
     assert {w["n"] for w in low.counterexamples} == set(SMALL_INDEX_EXCEPTIONS)
-    assert verify_theorem_6kminus1(6, 500, table_10k).holds
+    assert verify_theorem_6kminus1(6, 500).holds
 
 
-def test_sigma_catalan_range(table_10k):
-    assert verify_sigma_catalan(6, 300, table_10k).holds
-    n2 = verify_sigma_catalan(2, 2, table_10k)
+def test_sigma_catalan_range():
+    assert verify_sigma_catalan(6, 300).holds
+    n2 = verify_sigma_catalan(2, 2)
     assert not n2.holds
     assert n2.counterexamples == [{"n": 2, "remainder": 3}]
-    assert verify_sigma_catalan(7, 7, table_10k).holds
+    assert verify_sigma_catalan(7, 7).holds
 
 
-def test_erdos_interval(table_10k):
-    assert verify_erdos_interval(1, table_10k).holds  # empty interval
-    assert verify_erdos_interval(300, table_10k).holds
+def test_erdos_interval():
+    assert verify_erdos_interval(1).holds  # empty interval
+    assert verify_erdos_interval(300).holds
 
 
 def test_index_sweep_stops_at_the_tenth_witness(table_10k, monkeypatch):
@@ -138,7 +139,7 @@ def test_index_sweep_stops_at_the_tenth_witness(table_10k, monkeypatch):
         return 0
 
     monkeypatch.setattr(claims, "_valuation", zero)
-    outcome = verify_erdos_interval(50, table_10k)
+    outcome = verify_erdos_interval(50)
     expected = [
         (n, p) for n in range(1, 51) for p in table_10k.primes_between(n + 1, 2 * n)
     ][:10]
@@ -154,17 +155,17 @@ def test_mersenne_parity_small():
 
 
 @pytest.mark.parametrize("block", [7, 1000])
-def test_outcomes_do_not_depend_on_block_size(table_100k, monkeypatch, block):
+def test_outcomes_do_not_depend_on_block_size(monkeypatch, block):
     # witnesses straddle blocks of 7, and the sweep stops after the block
     # that yields the tenth; blocks of 1000 cover the same ranges coarsely
     def outcomes():
         results = (
-            verify_lemma_six(3_000, table_100k),
-            verify_family(5, 3_000, table_100k),
-            verify_family(24, 3_000, table_100k),
-            search_conjecture(40, 200, table_100k),
-            verify_theorem_6kminus1(0, 300, table_100k),
-            verify_sigma_catalan(0, 300, table_100k),
+            verify_lemma_six(3_000),
+            verify_family(5, 3_000),
+            verify_family(24, 3_000),
+            search_conjecture(40, 200),
+            verify_theorem_6kminus1(0, 300),
+            verify_sigma_catalan(0, 300),
         )
         return [replace(r, elapsed=0.0) for r in results]
 
@@ -173,20 +174,43 @@ def test_outcomes_do_not_depend_on_block_size(table_100k, monkeypatch, block):
     assert outcomes() == expected
 
 
-def test_range_validation(table_10k):
+def test_range_validation():
     with pytest.raises(ValueError):
-        verify_theorem_6kminus1(5, 4, table_10k)
+        verify_theorem_6kminus1(5, 4)
     with pytest.raises(ValueError):
-        verify_sigma_catalan(-1, 4, table_10k)
+        verify_sigma_catalan(-1, 4)
     with pytest.raises(ValueError):
-        verify_erdos_interval(0, table_10k)
+        verify_erdos_interval(0)
     with pytest.raises(ValueError):
         verify_mersenne_parity(-1)
 
 
-def test_undersized_table_rejected(table_10k):
-    with pytest.raises(ValueError):
-        verify_lemma_six(10_000, table_10k)  # needs 6k-1 up to 59999
+@pytest.mark.parametrize(
+    "verifier,args,limit",
+    [
+        (verify_lemma_six, (100,), 599),  # 6k - 1
+        (verify_family, (5, 30), 149),  # z*k - 1
+        (verify_family, (2, 1), 2),
+        (search_conjecture, (10, 20), 199),  # b*k - 1
+        (search_conjecture, (2, 1), 2),
+        (verify_theorem_6kminus1, (3, 40), 80),  # 2n
+        (verify_theorem_6kminus1, (0, 0), 2),
+        (verify_sigma_catalan, (3, 40), 80),
+        (verify_sigma_catalan, (0, 0), 2),
+        (verify_erdos_interval, (40,), 80),
+        (verify_mersenne_parity, (40,), None),  # no table
+    ],
+)
+def test_each_verifier_builds_the_table_its_range_needs(monkeypatch, verifier, args, limit):
+    limits = []
+
+    def recording(n):
+        limits.append(n)
+        return primes.build_prime_table(n)
+
+    monkeypatch.setattr(claims, "build_prime_table", recording)
+    verifier(*args)
+    assert limits == ([] if limit is None else [limit])
 
 
 @pytest.mark.parametrize(

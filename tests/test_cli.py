@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ import pytest
 import catsigma
 import oracles
 from catsigma import __version__, build_prime_table, catalan_factorization, claims, primes, sigma_exact
-from catsigma.cli import run
+from catsigma.cli import _build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -108,9 +110,7 @@ def test_spf_capacity_checked_before_sieving(capsys, monkeypatch):
     def refuse(limit):
         pytest.fail(f"sieved to {limit} before the capacity check")
 
-    # the k-sweeps refuse before building a table; every table build
-    # refuses before allocating its spf array
-    monkeypatch.setattr(claims, "build_prime_table", refuse)
+    # every table build refuses before allocating its spf array
     monkeypatch.setattr(primes, "_build_spf", refuse)
     for argv in (
         ("verify", "lemma-six", "--k-max", str(10**9)),
@@ -143,6 +143,32 @@ def test_memory_checked_before_sieving(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert "physical memory" in err
+
+
+VERIFIERS = {
+    "lemma-six": claims.verify_lemma_six,
+    "family": claims.verify_family,
+    "conjecture": claims.search_conjecture,
+    "theorem1": claims.verify_theorem_6kminus1,
+    "sigma-catalan": claims.verify_sigma_catalan,
+    "erdos": claims.verify_erdos_interval,
+    "mersenne": claims.verify_mersenne_parity,
+}
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_verify_options_are_the_verifier_parameters():
+    # the verify dispatch passes a claim's options as the verifier's keyword
+    # arguments; a mismatch would end in a TypeError traceback and exit 1
+    claim_parsers = _subparsers(_subparsers(_build_parser())["verify"])
+    assert set(claim_parsers) == set(VERIFIERS)
+    for claim, parser in claim_parsers.items():
+        dests = [a.dest for a in parser._actions if a.dest != "help"]
+        assert dests == list(inspect.signature(VERIFIERS[claim]).parameters), claim
 
 
 def test_verify_conjecture(capsys):
