@@ -18,7 +18,8 @@ from time import perf_counter
 
 from . import __version__
 from .asymptotics import OmegaRecord, omega_table
-from .catalan import asymptotic_log, catalan_factorization, digit_count, stirling_log_estimate
+from .catalan import (CATALAN_EXACT_CEILING, asymptotic_log, catalan_factorization,
+                      digit_count, stirling_log_estimate)
 from .claims import (
     FAMILY_MODULI,
     VerificationOutcome,
@@ -37,12 +38,9 @@ from .primes import build_prime_table
 
 def _coeff_list(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",")]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty coefficient list")
-    return values
 
 
 def _range_spec(text: str) -> tuple[int, int, int]:
@@ -145,6 +143,8 @@ def _dispatch(args, timing: bool):
     """Returns (command, parameters, outcome payload, exit code)."""
     if args.command in ("factor-catalan", "sigma-catalan"):
         n = args.n
+        if args.command == "sigma-catalan" and args.mod is None and n > CATALAN_EXACT_CEILING:
+            raise CapacityError(f"exact sigma capped at index {CATALAN_EXACT_CEILING}")
         factors = catalan_factorization(n, build_prime_table(max(2 * n, 2)))
         if args.command == "factor-catalan":
             payload = {"n": n, "factors": [[p, e] for p, e in factors]}

@@ -2,7 +2,7 @@
 
 build_prime_table runs one smallest-prime-factor sieve: the entries that no
 smaller prime marks are the primes, so every table carries both the prime
-list and the spf array.  The spf array is numpy uint32, 4 bytes per integer,
+array and the spf array.  The spf array is numpy uint32, 4 bytes per integer,
 which caps a table's limit at 2**32 - 1.  That cap and the estimated peak
 memory against the physical memory are checked before anything is
 allocated.
@@ -11,7 +11,6 @@ allocated.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isqrt, log
 
@@ -28,45 +27,46 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 # spf entries are stored as uint32.
 _SPF_LIMIT_MAX = 2**32 - 1
 
-# Peak memory of a table build: the uint32 spf array plus the sieve's
-# boolean masks come to about 5 bytes per integer, and each prime costs
-# about 48 bytes (its int64 array entry, a Python int and a list slot).
-# pi(x) < 1.26 x / ln x for x > 1 (Rosser and Schoenfeld, 1962).
+# Peak memory of a table build, as tracemalloc measures it at limits 10**6
+# to 2*10**7: the uint32 spf array plus the sieve's boolean mask come to
+# 5 bytes per integer, and each prime costs the 8 bytes of its int64 array
+# entry.  pi(x) < 1.26 x / ln x for x > 1 (Rosser and Schoenfeld, 1962).
 _BYTES_PER_INTEGER = 5
-_BYTES_PER_PRIME = 48
+_BYTES_PER_PRIME = 8
 
 
 @dataclass(frozen=True)
 class PrimeTable:
     """All primes up to ``limit`` and the smallest prime factor of every
-    integer up to it, with prime counting.  Immutable after construction.
+    integer up to it, with prime counting.  Immutable; equality is by limit.
 
-    ``primes`` is a list of Python ints in ascending order.  ``spf`` is a
-    uint32 array of limit + 1 entries: spf[m] is the smallest prime factor
-    of m for m >= 2, and entries 0 and 1 are 0.
+    ``primes`` is the sieve's int64 array, ascending, 8 bytes per prime.
+    ``spf`` is a uint32 array of limit + 1 entries: spf[m] is the smallest
+    prime factor of m for m >= 2, and entries 0 and 1 are 0.
     """
 
     limit: int
-    primes: list[int]
+    primes: np.ndarray = field(repr=False, compare=False)
     spf: np.ndarray = field(repr=False, compare=False)
 
     def pi(self, x: int) -> int:
         """Number of primes <= x.  Requires x <= limit."""
         if x > self.limit:
             raise ValueError(f"pi({x}) exceeds table limit {self.limit}")
-        return bisect_right(self.primes, x)
+        return int(np.searchsorted(self.primes, x, side="right"))
 
     def primes_between(self, lo: int, hi: int) -> list[int]:
-        """Primes p with lo < p <= hi.  Requires hi <= limit."""
+        """Primes p with lo < p <= hi, as Python ints.  Requires hi <= limit."""
         if hi > self.limit:
             raise ValueError(f"range end {hi} exceeds table limit {self.limit}")
-        return self.primes[bisect_right(self.primes, lo) : bisect_right(self.primes, hi)]
+        start, stop = np.searchsorted(self.primes, (lo, hi), side="right")
+        return self.primes[start:stop].tolist()
 
 
 def check_spf_limit(limit: int) -> None:
     """Raise CapacityError when a table up to limit would not fit the uint32
-    spf entries, or when its estimated peak memory exceeds the physical
-    memory; cheap, so callers run it before sieving anything."""
+    spf entries, or when its estimated peak memory (5 bytes per integer, 8
+    per prime) exceeds physical memory; cheap, so callers run it first."""
     if limit > _SPF_LIMIT_MAX:
         raise CapacityError(f"spf table limited to {_SPF_LIMIT_MAX}, {limit} requested")
     prime_bound = 1.26 * limit / log(max(limit, 2))
@@ -91,13 +91,13 @@ def _physical_memory() -> int | None:
 def build_prime_table(limit: int) -> PrimeTable:
     """Sieve all primes <= limit (2 <= limit <= 2**32 - 1) together with the
     smallest prime factor of every integer up to limit.  Costs about 5 bytes
-    per integer while sieving and 4 afterwards, plus the prime list.  Output
-    is deterministic."""
+    per integer while sieving and 4 afterwards, plus 8 bytes per prime.
+    Output is deterministic."""
     if limit < 2:
         raise ValueError("limit must be >= 2")
     check_spf_limit(limit)
     spf, primes = _build_spf(limit)
-    return PrimeTable(limit, primes.tolist(), spf)
+    return PrimeTable(limit, primes, spf)
 
 
 def _build_spf(limit: int) -> tuple[np.ndarray, np.ndarray]:

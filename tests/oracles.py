@@ -1,11 +1,11 @@
 """Brute-force reference implementations for cross-checking test results.
 
 Everything here is deliberately naive and independent of the package's own
-code paths: trial division, divisor scans and sieves, bit tricks, and
-chunked digit counting.
+code paths: trial division, divisor scans and sieves, bit tricks, binomial
+coefficients, and chunked digit counting.
 """
 
-from math import isqrt
+from math import comb, isqrt
 
 
 def trial_is_prime(n: int) -> bool:
@@ -57,6 +57,11 @@ def divisor_pairs(limit: int, z: int = 1, r: int = 0):
             if d * q0 % z == r:
                 for q in range(q0, limit // d + 1, z):
                     yield d * q, d, q
+
+
+def catalan_by_comb(n: int) -> int:
+    """The nth Catalan number as C(2n, n) / (n + 1), through math.comb."""
+    return comb(2 * n, n) // (n + 1)
 
 
 def v2(x: int) -> int:

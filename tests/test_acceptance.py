@@ -144,7 +144,7 @@ def test_criterion_09_coprimality_graph():
 def test_criterion_10_factorization_oracle_equivalence(table_6m):
     ok, detail = True, ""
     for n in range(301):
-        value = catalan_exact(n)
+        value = oracles.catalan_by_comb(n)
         factors = catalan_factorization(n, table_6m)
         if factors.value != value:
             ok, detail = False, f"product mismatch at n={n}"

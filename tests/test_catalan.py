@@ -1,4 +1,4 @@
-from math import comb, exp, log
+from math import exp, log
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,7 +53,17 @@ def test_factorization_requires_coverage():
 
 def test_factorization_reconstructs_value(table_10k):
     for n in range(51):
-        assert catalan_factorization(n, table_10k).value == catalan_exact(n)
+        assert catalan_factorization(n, table_10k).value == oracles.catalan_by_comb(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 3_000))
+@example(n=0)
+@example(n=1)
+@example(n=1023)
+@example(n=10**5)
+def test_exact_matches_binomial_route(n):
+    assert catalan_exact(n) == oracles.catalan_by_comb(n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,7 +102,7 @@ def test_v2_routes_agree_up_to_20k():
 
 def test_v2_matches_two_adic_split_of_value(table_10k):
     for n in range(201):
-        assert catalan_v2(n) == oracles.v2(catalan_exact(n))
+        assert catalan_v2(n) == oracles.v2(oracles.catalan_by_comb(n))
 
 
 @pytest.mark.parametrize(
@@ -165,7 +175,7 @@ def test_digit_count_estimate_route(monkeypatch):
     monkeypatch.setattr(catalan_module, "CATALAN_EXACT_CEILING", 500)
     resolved = 0
     for n in range(501, 601):
-        exact = comb(2 * n, n) // (n + 1)
+        exact = oracles.catalan_by_comb(n)
         try:
             estimated = catalan_module.digit_count(n)
         except CapacityError:

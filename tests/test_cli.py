@@ -10,7 +10,15 @@ import pytest
 
 import catsigma
 import oracles
-from catsigma import __version__, build_prime_table, catalan_factorization, claims, primes, sigma_exact
+from catsigma import (
+    CATALAN_EXACT_CEILING,
+    __version__,
+    build_prime_table,
+    catalan_factorization,
+    claims,
+    primes,
+    sigma_exact,
+)
 from catsigma.cli import _build_parser, run
 
 
@@ -51,6 +59,10 @@ def test_sigma_catalan_exact_and_mod(capsys):
     assert code == 0
     assert report["outcome"]["sigma"] == 672
     code, report, _ = invoke_json(capsys, "sigma-catalan", "7", "--mod", "6")
+    assert code == 0
+    assert report["outcome"]["remainder"] == 0
+    # the exact ceiling leaves the modular mode alone
+    code, report, _ = invoke_json(capsys, "sigma-catalan", str(CATALAN_EXACT_CEILING + 1), "--mod", "6")
     assert code == 0
     assert report["outcome"]["remainder"] == 0
 
@@ -112,17 +124,18 @@ def test_spf_capacity_checked_before_sieving(capsys, monkeypatch):
 
     # every table build refuses before allocating its spf array
     monkeypatch.setattr(primes, "_build_spf", refuse)
-    for argv in (
-        ("verify", "lemma-six", "--k-max", str(10**9)),
-        ("verify", "family", "--z", "5", "--k-max", str(10**9)),
-        ("verify", "conjecture", "--b-max", "100", "--k-max", str(10**8)),
-        ("verify", "theorem1", "--n-min", "0", "--n-max", "2147483648"),
-        ("factor-catalan", "2147483648"),
+    for argv, message in (
+        (("verify", "lemma-six", "--k-max", str(10**9)), "spf table limited"),
+        (("verify", "family", "--z", "5", "--k-max", str(10**9)), "spf table limited"),
+        (("verify", "conjecture", "--b-max", "100", "--k-max", str(10**8)), "spf table limited"),
+        (("verify", "theorem1", "--n-min", "0", "--n-max", "2147483648"), "spf table limited"),
+        (("factor-catalan", "2147483648"), "spf table limited"),
+        (("sigma-catalan", str(CATALAN_EXACT_CEILING + 1)), "exact sigma capped"),
     ):
         code, out, err = invoke(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "spf table limited" in err
+        assert message in err
 
 
 def test_memory_checked_before_sieving(capsys, monkeypatch):
@@ -253,6 +266,9 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, "estimate", "--kind", "stirling", "--n", "5000")
     assert code == 2  # capacity error
+    for coeffs in ("", ",", "3,x"):
+        code, out, _ = invoke(capsys, "coprime-graph", "--coeffs", coeffs)
+        assert (code, out) == (2, "")
     huge = str(10**400)  # past the float range
     for argv in (("digits", huge), ("estimate", "--kind", "asymptotic", "--n", huge)):
         code, out, err = invoke(capsys, *argv)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
-from catsigma import CapacityError, build_prime_table, is_prime, primes
+from catsigma import CapacityError, build_prime_table, catalan_factorization, is_prime, primes
 
 
 def test_first_primes():
-    assert build_prime_table(10).primes == [2, 3, 5, 7]
+    assert build_prime_table(10).primes.tolist() == [2, 3, 5, 7]
 
 
 def test_pi_30():
@@ -24,24 +24,30 @@ def test_limit_below_two_rejected():
 
 
 def test_build_is_deterministic():
-    assert build_prime_table(50_000).primes == build_prime_table(50_000).primes
+    assert build_prime_table(50_000).primes.tolist() == build_prime_table(50_000).primes.tolist()
 
 
 def test_primes_are_spf_fixed_points():
-    # the prime list and the spf array come from one sieve; they must agree
+    # the prime array and the spf array come from one sieve; they must agree
     for limit in (2, 3, 4, 1_300_000):
         table = build_prime_table(limit)
         assert table.spf.dtype == np.uint32 and len(table.spf) == limit + 1
+        assert table.primes.dtype == np.int64 and table.primes.ndim == 1
         fixed = np.flatnonzero(table.spf == np.arange(limit + 1)).tolist()
-        assert table.primes == [m for m in fixed if m >= 2]
-        assert all(type(p) is int for p in table.primes)
+        assert table.primes.tolist() == [m for m in fixed if m >= 2]
+        # Python ints are made where primes leave the table
+        listed = table.primes_between(0, limit)
+        assert listed == table.primes.tolist()
+        assert all(type(p) is int for p in listed)
     assert table.pi(1_300_000) == 100021  # frozen
+    entries = catalan_factorization(650_000, table).entries
+    assert entries and all(type(p) is int and type(e) is int for p, e in entries)
 
 
 def test_memory_estimate_against_budget(monkeypatch):
     assert primes._physical_memory() > 0
     monkeypatch.setattr(primes, "_physical_memory", lambda: 100 * 2**20)
-    primes.check_spf_limit(10**7)  # about 84 MiB by the estimate
+    primes.check_spf_limit(10**7)  # about 54 MiB by the estimate
     with pytest.raises(CapacityError, match="physical memory"):
         primes.check_spf_limit(2 * 10**7)
     # where the physical memory is unknown, only the uint32 cap applies
@@ -64,7 +70,7 @@ def test_pi_beyond_limit_rejected(table_10k):
 
 
 def test_listed_primes_pass_deterministic_test(table_10k):
-    assert all(is_prime(p) for p in table_10k.primes)
+    assert all(is_prime(p) for p in table_10k.primes.tolist())
 
 
 def test_spf_is_smallest_prime_factor(table_10k):
@@ -81,8 +87,9 @@ def test_primes_between(table_10k):
 
 
 def test_twin_detection_agrees_with_prime_list(table_100k):
-    pset = set(table_100k.primes)
-    from_list = [p for p in table_100k.primes if p + 2 in pset]
+    listed = table_100k.primes.tolist()
+    pset = set(listed)
+    from_list = [p for p in listed if p + 2 in pset]
     from_test = [p for p in range(2, 10**5 - 1) if is_prime(p) and is_prime(p + 2)]
     assert from_list == from_test
 
