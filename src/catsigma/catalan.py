@@ -12,6 +12,8 @@ from __future__ import annotations
 from math import factorial, floor, isinf, log, pi, ulp
 from typing import Literal
 
+import numpy as np
+
 from .errors import CapacityError, InconsistencyError
 from .factorint import Factorization, legendre_valuation
 from .primes import PrimeTable, build_prime_table, is_prime
@@ -48,6 +50,28 @@ def _valuation(n: int, p: int) -> int:
     while q <= t:
         v += t // q - m // q - n // q
         q *= p
+    return v
+
+
+def _valuation_block(ns, ps) -> np.ndarray:
+    """v_p(C_n) elementwise for int64 arrays (or scalars) of indices n >= 0
+    and primes p, broadcast together: _valuation's Legendre sum, with
+    x // p**(k+1) taken as (x // p**k) // p, so no power of p is formed and
+    no value grows.  One numpy step per power of p up to the largest 2n;
+    an entry whose quotients reach 0 adds 0 to its sum.  The quotients and
+    the sum are updated in place, so a call holds about four arrays of the
+    input's size (the index sweeps keep their blocks near numpy's import
+    memory floor)."""
+    n, p = np.broadcast_arrays(np.asarray(ns, dtype=np.int64), np.asarray(ps, dtype=np.int64))
+    t, m = 2 * n, n + 1
+    v = np.zeros(n.shape, dtype=np.int64)
+    while (t >= p).any():
+        t //= p
+        m //= p
+        n = n // p
+        v += t
+        v -= m
+        v -= n
     return v
 
 

@@ -7,8 +7,12 @@ conjecture search keeps only the first failing k of each modulus.  The
 sigma(z*k - 1) sweeps (lemma six, the family, the conjecture search) share
 one generator that computes a block of remainders with one sigma_mod_block
 call, over blocks that start at 16 values of k and double up to 50k, and
-factors only the values it reports.  The index sweeps check one n at a
-time.  Witness records are plain dicts so they serialize as-is.
+factors only the values it reports.  The index sweeps are numpy passes
+over blocks of _INDEX_BLOCK indices (erdos: (n, p) pairs) built on
+catalan._valuation_block, and likewise stop after the block that yields
+the tenth witness.  theorem1 and sigma-catalan factor only the indices
+that _certified cannot vouch for, so their witnesses come from the full
+factorization.  Witness records are plain dicts so they serialize as-is.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .catalan import _valuation, catalan_factorization, catalan_v2
+from .catalan import _valuation_block, catalan_factorization, catalan_v2
 from .divisor import sigma_exact, sigma_mod, sigma_mod_block
 from .errors import InconclusiveError
 from .factorint import binary_digit_sum, factor_u64
@@ -43,6 +47,10 @@ _MAX_WITNESSES = 10
 # failing families fail at a small k, so the blocks start small and double
 # up to _BLOCK.
 _FIRST_PROBE_BLOCK = 16
+# Indices per block of the index sweeps (and (n, p) pairs per block of the
+# erdos sweep): small enough that a block's arrays stay within the numpy
+# import's memory floor.
+_INDEX_BLOCK = 4096
 
 
 @dataclass
@@ -169,16 +177,46 @@ def search_conjecture(b_max: int, k_max: int) -> ConjectureSearch:
     return ConjectureSearch(b_max, k_max, survivors, eliminated, perf_counter() - started)
 
 
+def _index_blocks(lo: int, hi: int, size: int):
+    """int64 arrays of consecutive indices covering [lo, hi], size at a time."""
+    for start in range(lo, hi + 1, size):
+        yield np.arange(start, min(start + size, hi + 1), dtype=np.int64)
+
+
+def _certified(ns: np.ndarray, fives: np.ndarray) -> np.ndarray:
+    """True where the largest prime q congruent to 5 mod 6 with q <= 2n
+    divides C_n to an odd power e; fives are the ascending primes congruent
+    to 5 mod 6 of a table covering 2n.  Such a q is a 6k - 1 factor of C_n,
+    and its sigma term 1 + q + ... + q**e, e + 1 terms alternating 1 and -1
+    mod 6, is 0 mod 6, so 6 | sigma(C_n).  An n with no such q (2n < 5) is
+    never certified."""
+    at = np.searchsorted(fives, 2 * ns, side="right") - 1
+    has = at >= 0
+    certified = np.zeros(ns.shape, dtype=bool)
+    certified[has] = _valuation_block(ns[has], fives[at[has]]) % 2 == 1
+    return certified
+
+
+def _uncertified(n_min: int, n_max: int, table: PrimeTable):
+    """The n in [n_min, n_max] that _certified does not vouch for, in
+    ascending order, one block of _INDEX_BLOCK indices at a time; the
+    caller settles each through the full factorization."""
+    fives = table.primes[table.primes % 6 == 5]
+    for ns in _index_blocks(n_min, n_max, _INDEX_BLOCK):
+        yield from ns[~_certified(ns, fives)].tolist()
+
+
 def verify_theorem_6kminus1(n_min: int, n_max: int) -> VerificationOutcome:
     """Check that each Catalan number in the index range has at least one
-    prime factor congruent to 5 mod 6; witnesses list the indices without."""
+    prime factor congruent to 5 mod 6; witnesses list the indices without.
+    Only the indices _certified cannot vouch for are factored."""
     started = perf_counter()
     if n_min < 0 or n_max < n_min:
         raise ValueError("need 0 <= n_min <= n_max")
     table = build_prime_table(max(2 * n_max, 2))
 
     def witnesses():
-        for n in range(n_min, n_max + 1):
+        for n in _uncertified(n_min, n_max, table):
             factors = catalan_factorization(n, table)
             if not any(p % 6 == 5 for p, _ in factors):
                 yield {"n": n, "primes": list(factors.prime_factors())}
@@ -188,19 +226,37 @@ def verify_theorem_6kminus1(n_min: int, n_max: int) -> VerificationOutcome:
 
 def verify_sigma_catalan(n_min: int, n_max: int) -> VerificationOutcome:
     """Check 6 | sigma(catalan(n)) over the index range, working modulo 6
-    on the factorization (the exact sigma value is never formed)."""
+    on the factorization (the exact sigma value is never formed).  Only the
+    indices _certified cannot vouch for are factored."""
     started = perf_counter()
     if n_min < 0 or n_max < n_min:
         raise ValueError("need 0 <= n_min <= n_max")
     table = build_prime_table(max(2 * n_max, 2))
 
     def witnesses():
-        for n in range(n_min, n_max + 1):
+        for n in _uncertified(n_min, n_max, table):
             r = sigma_mod(catalan_factorization(n, table), 6)
             if r:
                 yield {"n": n, "remainder": r}
 
     return _outcome("sigma-catalan", (n_min, n_max), witnesses(), started)
+
+
+def _erdos_pairs(n_max: int, primes: np.ndarray):
+    """Arrays (n, p) of the pairs with 1 <= n <= n_max and p prime in
+    (n + 1, 2n], ordered by n and then p, in blocks of at most _INDEX_BLOCK
+    pairs.  The primes of one n are a run of the prime array, so a block is
+    a window of offsets into the concatenated runs: each n it meets is
+    repeated once per pair of it inside the window."""
+    for ns in _index_blocks(1, n_max, _INDEX_BLOCK):
+        first = np.searchsorted(primes, ns + 1, side="right")
+        ends = np.cumsum(np.searchsorted(primes, 2 * ns, side="right") - first)
+        starts = np.concatenate(([0], ends[:-1]))
+        for at in _index_blocks(0, int(ends[-1]) - 1, _INDEX_BLOCK):
+            lo, hi = np.searchsorted(ends, (at[0], at[-1]), side="right")
+            rows = np.arange(lo, hi + 1)
+            rows = np.repeat(rows, np.minimum(ends[rows], at[-1] + 1) - np.maximum(starts[rows], at[0]))
+            yield ns[rows], primes[first[rows] + at - starts[rows]]
 
 
 def verify_erdos_interval(n_max: int) -> VerificationOutcome:
@@ -212,11 +268,11 @@ def verify_erdos_interval(n_max: int) -> VerificationOutcome:
     table = build_prime_table(2 * n_max)
 
     def witnesses():
-        for n in range(1, n_max + 1):
-            for p in table.primes_between(n + 1, 2 * n):
-                v = _valuation(n, p)
-                if v != 1:
-                    yield {"n": n, "p": p, "exponent": v}
+        for ns, ps in _erdos_pairs(n_max, table.primes):
+            exponents = _valuation_block(ns, ps)
+            bad = np.flatnonzero(exponents != 1)[:_MAX_WITNESSES]
+            for n, p, v in zip(ns[bad].tolist(), ps[bad].tolist(), exponents[bad].tolist()):
+                yield {"n": n, "p": p, "exponent": v}
 
     return _outcome("erdos-interval", (1, n_max), witnesses(), started)
 
@@ -224,18 +280,20 @@ def verify_erdos_interval(n_max: int) -> VerificationOutcome:
 def verify_mersenne_parity(n_max: int) -> VerificationOutcome:
     """Check the parity criterion for all n <= n_max: catalan(n) is odd iff
     n + 1 is a power of two, with the Legendre and digit-sum routes for the
-    2-adic valuation agreeing everywhere."""
+    2-adic valuation agreeing everywhere.  Both routes run as array passes;
+    a flagged n reports the scalar catalan_v2 and binary_digit_sum."""
     started = perf_counter()
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
 
     def witnesses():
-        for n in range(n_max + 1):
-            v_legendre = catalan_v2(n)
-            v_digit = binary_digit_sum(n + 1) - 1
-            power_of_two = (n + 1) & n == 0
-            if v_legendre != v_digit or (v_legendre == 0) != power_of_two:
-                yield {"n": n, "v2_legendre": v_legendre, "v2_digit_sum": v_digit}
+        for ns in _index_blocks(0, n_max, _INDEX_BLOCK):
+            v_legendre = _valuation_block(ns, 2)
+            v_digit = np.bitwise_count(ns + 1).astype(np.int64) - 1
+            power_of_two = (ns + 1) & ns == 0
+            bad = (v_legendre != v_digit) | ((v_legendre == 0) != power_of_two)
+            for n in ns[bad].tolist():
+                yield {"n": n, "v2_legendre": catalan_v2(n), "v2_digit_sum": binary_digit_sum(n + 1) - 1}
 
     return _outcome("mersenne-parity", (0, n_max), witnesses(), started)
 

@@ -14,5 +14,10 @@ def table_100k():
 
 
 @pytest.fixture(scope="session")
+def table_200k():
+    return build_prime_table(200_000)
+
+
+@pytest.fixture(scope="session")
 def table_6m():
     return build_prime_table(6_000_000)

@@ -1,5 +1,6 @@
 from math import exp, log
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from catsigma import (
     product_form,
     stirling_log_estimate,
 )
+from catsigma.catalan import _valuation_block
 
 KNOWN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 
@@ -85,6 +87,23 @@ def test_valuation_matches_factorization(table_10k, n):
     assert factors.prime_factors() == tuple(positive)
     with pytest.raises(ValueError):
         catalan_valuation(5, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(0, 10**5), st.integers(0, 17_983)),  # pi(200000) = 17984
+        min_size=1,
+        max_size=50,
+    )
+)
+@example(pairs=[(0, 0), (1, 0), (3, 2), (4, 3), (2**15 - 1, 0), (10**5, 17_983)])
+def test_valuation_block_matches_catalan_valuation(table_200k, pairs):
+    ns = np.array([n for n, _ in pairs], dtype=np.int64)
+    ps = table_200k.primes[[i for _, i in pairs]]
+    got = _valuation_block(ns, ps)
+    assert got.tolist() == [catalan_valuation(n, p) for n, p in zip(ns.tolist(), ps.tolist())]
+    assert _valuation_block(ns, 2).tolist() == [catalan_valuation(n, 2) for n in ns.tolist()]
 
 
 @pytest.mark.parametrize("n,expected", [(3, 0), (4, 1), (6, 2), (0, 0)])

@@ -1,7 +1,10 @@
 from dataclasses import replace
 from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from catsigma import (
@@ -9,10 +12,12 @@ from catsigma import (
     SMALL_INDEX_EXCEPTIONS,
     InconclusiveError,
     analyze_coprimality,
+    catalan_factorization,
     claims,
     coprimality_graph,
     primes,
     search_conjecture,
+    sigma_mod,
     verify_erdos_interval,
     verify_family,
     verify_lemma_six,
@@ -131,21 +136,87 @@ def test_erdos_interval():
 
 def test_index_sweep_stops_at_the_tenth_witness(table_10k, monkeypatch):
     # with every valuation 0, each prime in (n+1, 2n] is a witness; the
-    # sweep reports the first ten (n, p) pairs and checks no further prime
-    calls = []
+    # sweep reports the first ten (n, p) pairs and evaluates no block after
+    # the one that yields the tenth
+    blocks = []
 
-    def zero(n, p):
-        calls.append((n, p))
-        return 0
+    def zeros(ns, ps):
+        blocks.append(list(zip(ns.tolist(), ps.tolist())))
+        return np.zeros(len(ns), dtype=np.int64)
 
-    monkeypatch.setattr(claims, "_valuation", zero)
+    monkeypatch.setattr(claims, "_INDEX_BLOCK", 7)
+    monkeypatch.setattr(claims, "_valuation_block", zeros)
     outcome = verify_erdos_interval(50)
-    expected = [
-        (n, p) for n in range(1, 51) for p in table_10k.primes_between(n + 1, 2 * n)
-    ][:10]
-    assert [(w["n"], w["p"]) for w in outcome.counterexamples] == expected
+    pairs = [(n, p) for n in range(1, 51) for p in table_10k.primes_between(n + 1, 2 * n)]
+    assert [(w["n"], w["p"]) for w in outcome.counterexamples] == pairs[:10]
     assert all(w["exponent"] == 0 for w in outcome.counterexamples)
-    assert calls == expected
+    evaluated = [pair for block in blocks for pair in block]
+    assert evaluated == pairs[: len(evaluated)]
+    assert all(0 < len(block) <= 7 for block in blocks)
+    assert len(evaluated) - len(blocks[-1]) < 10 <= len(evaluated)
+
+
+def _holds_by_factorization(n, table):
+    factors = catalan_factorization(n, table)
+    return any(p % 6 == 5 for p, _ in factors), sigma_mod(factors, 6) == 0
+
+
+def _fives(table):
+    return table.primes[table.primes % 6 == 5]
+
+
+def test_certified_indices_hold_by_factorization(table_10k):
+    ns = np.arange(0, 5_001, dtype=np.int64)
+    certified = claims._certified(ns, _fives(table_10k))
+    assert set(ns[~certified].tolist()) == set(SMALL_INDEX_EXCEPTIONS)
+    for n in ns[certified].tolist():
+        assert _holds_by_factorization(n, table_10k) == (True, True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 10**5))
+def test_certified_random_indices_hold_by_factorization(table_200k, n):
+    [certified] = claims._certified(np.array([n]), _fives(table_200k))
+    assert certified == (n not in SMALL_INDEX_EXCEPTIONS)
+    if certified:
+        assert _holds_by_factorization(n, table_200k) == (True, True)
+
+
+def test_index_sweeps_without_the_certificate(monkeypatch):
+    expected = [verify_theorem_6kminus1(0, 3_000), verify_sigma_catalan(0, 3_000)]
+    monkeypatch.setattr(claims, "_certified", lambda ns, fives: np.zeros(len(ns), dtype=bool))
+    uncertified = [verify_theorem_6kminus1(0, 3_000), verify_sigma_catalan(0, 3_000)]
+    assert [o.counterexamples for o in uncertified] == [o.counterexamples for o in expected]
+
+
+def test_index_sweeps_over_tables_without_a_5_mod_6_prime(monkeypatch):
+    tables = []
+
+    def recording(n):
+        tables.append(primes.build_prime_table(n))
+        return tables[-1]
+
+    monkeypatch.setattr(claims, "build_prime_table", recording)
+    assert verify_theorem_6kminus1(0, 0).counterexamples == [{"n": 0, "primes": []}]
+    assert verify_theorem_6kminus1(0, 2).counterexamples == [
+        {"n": 0, "primes": []},
+        {"n": 1, "primes": []},
+        {"n": 2, "primes": [2]},
+    ]
+    assert verify_sigma_catalan(2, 2).counterexamples == [{"n": 2, "remainder": 3}]
+    assert [t.limit for t in tables] == [2, 4, 4]
+    assert all(_fives(t).size == 0 for t in tables)
+
+
+def test_mersenne_witnesses_come_from_the_scalar_routes(monkeypatch):
+    # with the array Legendre pass patched to 0, every n + 1 that is not a
+    # power of two is flagged; the records carry catalan_v2 and the digit sum
+    monkeypatch.setattr(claims, "_valuation_block", lambda ns, p: np.zeros(len(ns), dtype=np.int64))
+    outcome = verify_mersenne_parity(20)
+    flagged = [n for n in range(21) if (n + 1) & n]
+    assert [w["n"] for w in outcome.counterexamples] == flagged[:10]
+    for w in outcome.counterexamples:
+        assert w["v2_legendre"] == w["v2_digit_sum"] == oracles.v2(oracles.catalan_by_comb(w["n"]))
 
 
 def test_mersenne_parity_small():
@@ -166,11 +237,14 @@ def test_outcomes_do_not_depend_on_block_size(monkeypatch, block):
             search_conjecture(40, 200),
             verify_theorem_6kminus1(0, 300),
             verify_sigma_catalan(0, 300),
+            verify_erdos_interval(300),
+            verify_mersenne_parity(3_000),
         )
         return [replace(r, elapsed=0.0) for r in results]
 
     expected = outcomes()
     monkeypatch.setattr(claims, "_BLOCK", block)
+    monkeypatch.setattr(claims, "_INDEX_BLOCK", block)
     assert outcomes() == expected
 
 
