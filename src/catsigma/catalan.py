@@ -26,6 +26,9 @@ ONE_BASED_OFFSET = 1
 # on a 2-vCPU Xeon (0.1 s at 1.5*10**5; the cost grows about quadratically).
 CATALAN_EXACT_CEILING = 1_000_000
 
+# _valuation_block works in int64 and forms 2n, so indices stay below 2**62.
+_INT64_INDEX_BOUND = 2**62
+
 _LN2 = log(2)
 _LN4 = log(4)
 _LN_PI = log(pi)
@@ -41,44 +44,42 @@ def catalan_exact(n: int) -> int:
     return catalan_factorization(n, build_prime_table(max(2 * n, 2))).value
 
 
-def _valuation(n: int, p: int) -> int:
-    # v_p of (2n)! / ((n+1)! n!) for a known prime p
-    t = 2 * n
-    m = n + 1
-    v = 0
-    q = p
-    while q <= t:
-        v += t // q - m // q - n // q
-        q *= p
-    return v
-
-
 def _valuation_block(ns, ps) -> np.ndarray:
-    """v_p(C_n) elementwise for int64 arrays (or scalars) of indices n >= 0
-    and primes p, broadcast together: _valuation's Legendre sum, with
+    """v_p(C_n) elementwise for int64 arrays (or scalars) of indices
+    0 <= n < 2**62 and primes p, broadcast together into an array of at
+    least one dimension: the Legendre sum of
+    2n // p**k - (n + 1) // p**k - n // p**k over k >= 1, with
     x // p**(k+1) taken as (x // p**k) // p, so no power of p is formed and
-    no value grows.  One numpy step per power of p up to the largest 2n;
-    an entry whose quotients reach 0 adds 0 to its sum.  The quotients and
-    the sum are updated in place, so a call holds about four arrays of the
-    input's size (the index sweeps keep their blocks near numpy's import
-    memory floor)."""
-    n, p = np.broadcast_arrays(np.asarray(ns, dtype=np.int64), np.asarray(ps, dtype=np.int64))
-    t, m = 2 * n, n + 1
-    v = np.zeros(n.shape, dtype=np.int64)
+    no value grows.  The k = 1 term covers every entry; only the entries
+    with p * p <= 2n go on to the higher powers, one in-place numpy step per
+    power.  A scalar p stays a scalar divisor, which numpy divides by
+    faster than by an array.  A call holds about four arrays of the input's
+    size (the index sweeps keep their blocks near numpy's import memory
+    floor)."""
+    n, p = np.atleast_1d(np.asarray(ns, dtype=np.int64)), np.asarray(ps, dtype=np.int64)
+    t, m, n = 2 * n // p, (n + 1) // p, n // p
+    v = t - m - n
+    deep = t >= p
+    if p.ndim:
+        p = np.broadcast_to(p, deep.shape)[deep]
+    t, m, n = t[deep], np.broadcast_to(m, deep.shape)[deep], np.broadcast_to(n, deep.shape)[deep]
+    higher = np.zeros(t.shape, dtype=np.int64)
     while (t >= p).any():
         t //= p
         m //= p
-        n = n // p
-        v += t
-        v -= m
-        v -= n
+        n //= p
+        higher += t
+        higher -= m
+        higher -= n
+    v[deep] += higher
     return v
 
 
 def catalan_valuation(n: int, p: int) -> int:
     """Exponent of the prime p in the nth Catalan number, as the difference
     of three factorial valuations (the big integer is never formed).  This
-    route is independent of _valuation, which catalan_factorization uses."""
+    route is independent of _valuation_block, which catalan_factorization
+    and catalan_v2 use."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     if not is_prime(p):
@@ -93,12 +94,10 @@ def catalan_factorization(n: int, table: PrimeTable) -> Factorization:
         raise ValueError("index must be nonnegative")
     if table.limit < 2 * n:
         raise ValueError(f"table limit {table.limit} does not cover 2n = {2 * n}")
-    entries = []
-    for p in table.primes_between(1, 2 * n):
-        e = _valuation(n, p)
-        if e:
-            entries.append((p, e))
-    return Factorization(tuple(entries))
+    ps = table.primes[: table.pi(2 * n)]
+    es = _valuation_block(n, ps)
+    keep = es != 0
+    return Factorization(tuple(zip(ps[keep].tolist(), es[keep].tolist())))
 
 
 def catalan_v2(n: int) -> int:
@@ -109,7 +108,9 @@ def catalan_v2(n: int) -> int:
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return _valuation(n, 2)
+    if n >= _INT64_INDEX_BOUND:
+        raise CapacityError(f"2-adic valuation capped below index {_INT64_INDEX_BOUND}")
+    return int(_valuation_block(n, 2)[0])
 
 
 def product_form(k: int, parity: Literal["even", "odd"]) -> int:

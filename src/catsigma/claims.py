@@ -281,7 +281,7 @@ def verify_mersenne_parity(n_max: int) -> VerificationOutcome:
     """Check the parity criterion for all n <= n_max: catalan(n) is odd iff
     n + 1 is a power of two, with the Legendre and digit-sum routes for the
     2-adic valuation agreeing everywhere.  Both routes run as array passes;
-    a flagged n reports the scalar catalan_v2 and binary_digit_sum."""
+    a flagged n reports catalan_v2(n) and binary_digit_sum(n + 1) - 1."""
     started = perf_counter()
     if n_max < 0:
         raise ValueError("n_max must be >= 0")

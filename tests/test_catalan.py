@@ -119,6 +119,15 @@ def test_v2_routes_agree_up_to_20k():
         assert (v == 0) == ((n + 1) & n == 0)  # odd iff n+1 a power of two
 
 
+def test_v2_int64_edge():
+    # 2n stays in int64 up to n = 2**62 - 1; beyond it the array route is refused
+    n = 2**62 - 1
+    assert catalan_v2(n) == binary_digit_sum(n + 1) - 1 == 0
+    assert catalan_v2(n - 1) == binary_digit_sum(n) - 1 == 61
+    with pytest.raises(CapacityError):
+        catalan_v2(2**62)
+
+
 def test_v2_matches_two_adic_split_of_value(table_10k):
     for n in range(201):
         assert catalan_v2(n) == oracles.v2(oracles.catalan_by_comb(n))
