@@ -208,7 +208,7 @@ def test_index_sweeps_over_tables_without_a_5_mod_6_prime(monkeypatch):
     assert all(_fives(t).size == 0 for t in tables)
 
 
-def test_mersenne_witnesses_come_from_the_scalar_routes(monkeypatch):
+def test_mersenne_witnesses_come_from_the_per_index_routes(monkeypatch):
     # with the array Legendre pass patched to 0, every n + 1 that is not a
     # power of two is flagged; the records carry catalan_v2 and the digit sum
     monkeypatch.setattr(claims, "_valuation_block", lambda ns, p: np.zeros(len(ns), dtype=np.int64))
