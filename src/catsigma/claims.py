@@ -3,16 +3,16 @@
 Each verifier builds the prime table its range needs, sweeps the range in
 ascending order, and returns a VerificationOutcome carrying the first ten
 counterexample witnesses; the sweep stops once it has them.  The
-conjecture search keeps only the first failing k of each modulus.  The
-sigma(z*k - 1) sweeps (lemma six, the family, the conjecture search) share
-one generator that computes a block of remainders with one sigma_mod_block
-call, over blocks that start at 16 values of k and double up to 50k, and
-factors only the values it reports.  The index sweeps are numpy passes
-over blocks of _INDEX_BLOCK indices (erdos: (n, p) pairs) built on
-catalan._valuation_block, and likewise stop after the block that yields
-the tenth witness.  theorem1 and sigma-catalan factor only the indices
-that _certified cannot vouch for, so their witnesses come from the full
-factorization.  Witness records are plain dicts so they serialize as-is.
+conjecture search keeps only the first failing k of each modulus.  Every
+sweep takes its blocks from _blocks, 16 entries doubling up to 4096, and
+runs a block only when the caller asks for more witnesses than the earlier
+blocks gave.  The sigma(z*k - 1) sweeps (lemma six, the family, the
+conjecture search) compute a block of remainders with one sigma_mod_block
+call and factor only the values they report.  The index sweeps are numpy
+passes built on catalan._valuation_block; erdos blocks its (n, p) pairs.
+theorem1 and sigma-catalan factor only the indices that _certified cannot
+vouch for, so their witnesses come from the full factorization.  Witness
+records are plain dicts so they serialize as-is.
 """
 
 from __future__ import annotations
@@ -41,16 +41,14 @@ SMALL_INDEX_EXCEPTIONS = frozenset({0, 1, 2, 4, 5})
 ALWAYS_COPRIME = "always_coprime"
 SHARED_DIVISOR = "shared_divisor"
 
-_BLOCK = 50_000
 _MAX_WITNESSES = 10
-# First block of every sigma(z*k - 1) sweep: most conjecture moduli and
-# failing families fail at a small k, so the blocks start small and double
-# up to _BLOCK.
+# First block of every sweep: most conjecture moduli and failing families
+# fail at a small k, so the blocks start small and double up to _BLOCK.
 _FIRST_PROBE_BLOCK = 16
-# Indices per block of the index sweeps (and (n, p) pairs per block of the
-# erdos sweep): small enough that a block's arrays stay within the numpy
+# Largest block of every sweep (values of k, indices, or erdos (n, p)
+# pairs): small enough that a block's arrays stay within the numpy
 # import's memory floor.
-_INDEX_BLOCK = 4096
+_BLOCK = 4096
 
 
 @dataclass
@@ -92,23 +90,28 @@ def _outcome(claim_id, span, witnesses, started) -> VerificationOutcome:
     )
 
 
+def _blocks(lo: int, hi: int):
+    """Ascending int64 arrays covering [lo, hi], none if lo > hi.  The
+    first has _FIRST_PROBE_BLOCK entries and each later one twice as many
+    as the one before, up to _BLOCK; the last may be shorter."""
+    size = min(_FIRST_PROBE_BLOCK, _BLOCK)
+    while lo <= hi:
+        yield np.arange(lo, min(lo + size, hi + 1), dtype=np.int64)
+        lo += size
+        size = min(2 * size, _BLOCK)
+
+
 def _sigma_failures(z: int, k_max: int, table: PrimeTable):
     """(k, remainder) for each k in [1, k_max] with z not dividing
-    sigma(z*k - 1), in ascending k.  Each block of k is one sigma_mod_block
-    call; blocks start at _FIRST_PROBE_BLOCK values and double up to
-    _BLOCK, and a block runs only when the caller asks for more failures
-    than the earlier blocks gave."""
-    lo, size = 1, min(_FIRST_PROBE_BLOCK, _BLOCK)
-    while lo <= k_max:
-        ks = np.arange(lo, min(lo + size - 1, k_max) + 1, dtype=np.int64)
+    sigma(z*k - 1), in ascending k.  Each block of k from _blocks is one
+    sigma_mod_block call."""
+    for ks in _blocks(1, k_max):
         remainders = sigma_mod_block(z * ks - 1, z, table.spf)
         bad = np.flatnonzero(remainders)[:_MAX_WITNESSES]  # no caller asks for more
         hits = zip(ks[bad].tolist(), remainders[bad].tolist())
         # freed before the caller resumes, so one block is held at a time
         del ks, remainders
         yield from hits
-        lo += size
-        size = min(2 * size, _BLOCK)
 
 
 def _sigma_witness(k: int, z: int, remainder: int, table: PrimeTable) -> dict:
@@ -177,12 +180,6 @@ def search_conjecture(b_max: int, k_max: int) -> ConjectureSearch:
     return ConjectureSearch(b_max, k_max, survivors, eliminated, perf_counter() - started)
 
 
-def _index_blocks(lo: int, hi: int, size: int):
-    """int64 arrays of consecutive indices covering [lo, hi], size at a time."""
-    for start in range(lo, hi + 1, size):
-        yield np.arange(start, min(start + size, hi + 1), dtype=np.int64)
-
-
 def _certified(ns: np.ndarray, fives: np.ndarray) -> np.ndarray:
     """True where the largest prime q congruent to 5 mod 6 with q <= 2n
     divides C_n to an odd power e; fives are the ascending primes congruent
@@ -199,10 +196,10 @@ def _certified(ns: np.ndarray, fives: np.ndarray) -> np.ndarray:
 
 def _uncertified(n_min: int, n_max: int, table: PrimeTable):
     """The n in [n_min, n_max] that _certified does not vouch for, in
-    ascending order, one block of _INDEX_BLOCK indices at a time; the
-    caller settles each through the full factorization."""
+    ascending order, one block from _blocks at a time; the caller settles
+    each through the full factorization."""
     fives = table.primes[table.primes % 6 == 5]
-    for ns in _index_blocks(n_min, n_max, _INDEX_BLOCK):
+    for ns in _blocks(n_min, n_max):
         yield from ns[~_certified(ns, fives)].tolist()
 
 
@@ -244,15 +241,15 @@ def verify_sigma_catalan(n_min: int, n_max: int) -> VerificationOutcome:
 
 def _erdos_pairs(n_max: int, primes: np.ndarray):
     """Arrays (n, p) of the pairs with 1 <= n <= n_max and p prime in
-    (n + 1, 2n], ordered by n and then p, in blocks of at most _INDEX_BLOCK
+    (n + 1, 2n], ordered by n and then p, in blocks of at most _BLOCK
     pairs.  The primes of one n are a run of the prime array, so a block is
-    a window of offsets into the concatenated runs: each n it meets is
-    repeated once per pair of it inside the window."""
-    for ns in _index_blocks(1, n_max, _INDEX_BLOCK):
+    a window of offsets into the concatenated runs of one block of n: each
+    n it meets is repeated once per pair of it inside the window."""
+    for ns in _blocks(1, n_max):
         first = np.searchsorted(primes, ns + 1, side="right")
         ends = np.cumsum(np.searchsorted(primes, 2 * ns, side="right") - first)
         starts = np.concatenate(([0], ends[:-1]))
-        for at in _index_blocks(0, int(ends[-1]) - 1, _INDEX_BLOCK):
+        for at in _blocks(0, int(ends[-1]) - 1):
             lo, hi = np.searchsorted(ends, (at[0], at[-1]), side="right")
             rows = np.arange(lo, hi + 1)
             rows = np.repeat(rows, np.minimum(ends[rows], at[-1] + 1) - np.maximum(starts[rows], at[0]))
@@ -287,7 +284,7 @@ def verify_mersenne_parity(n_max: int) -> VerificationOutcome:
         raise ValueError("n_max must be >= 0")
 
     def witnesses():
-        for ns in _index_blocks(0, n_max, _INDEX_BLOCK):
+        for ns in _blocks(0, n_max):
             v_legendre = _valuation_block(ns, 2)
             v_digit = np.bitwise_count(ns + 1).astype(np.int64) - 1
             power_of_two = (ns + 1) & ns == 0

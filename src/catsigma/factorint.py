@@ -42,12 +42,6 @@ class Factorization:
     def prime_factors(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.entries)
 
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.entries:
-            if q == p:
-                return e
-        return 0
-
 
 def binary_digit_sum(n: int) -> int:
     """Sum of the base-2 digits of n."""

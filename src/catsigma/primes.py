@@ -55,13 +55,6 @@ class PrimeTable:
             raise ValueError(f"pi({x}) exceeds table limit {self.limit}")
         return int(np.searchsorted(self.primes, x, side="right"))
 
-    def primes_between(self, lo: int, hi: int) -> list[int]:
-        """Primes p with lo < p <= hi, as Python ints.  Requires hi <= limit."""
-        if hi > self.limit:
-            raise ValueError(f"range end {hi} exceeds table limit {self.limit}")
-        start, stop = np.searchsorted(self.primes, (lo, hi), side="right")
-        return self.primes[start:stop].tolist()
-
 
 def check_spf_limit(limit: int) -> None:
     """Raise CapacityError when a table up to limit would not fit the uint32

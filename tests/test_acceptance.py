@@ -149,7 +149,7 @@ def test_criterion_10_factorization_oracle_equivalence(table_6m):
         if factors.value != value:
             ok, detail = False, f"product mismatch at n={n}"
             break
-        by_trial, leftover = oracles.factor_by_prime_list(value, table_6m.primes_between(1, 2 * n))
+        by_trial, leftover = oracles.factor_by_prime_list(value, table_6m.primes[: table_6m.pi(2 * n)].tolist())
         if leftover != 1 or by_trial != dict(factors.entries):
             ok, detail = False, f"trial-division mismatch at n={n}"
             break

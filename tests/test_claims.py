@@ -144,16 +144,65 @@ def test_index_sweep_stops_at_the_tenth_witness(table_10k, monkeypatch):
         blocks.append(list(zip(ns.tolist(), ps.tolist())))
         return np.zeros(len(ns), dtype=np.int64)
 
-    monkeypatch.setattr(claims, "_INDEX_BLOCK", 7)
+    monkeypatch.setattr(claims, "_BLOCK", 7)  # n-blocks and pair windows alike
     monkeypatch.setattr(claims, "_valuation_block", zeros)
     outcome = verify_erdos_interval(50)
-    pairs = [(n, p) for n in range(1, 51) for p in table_10k.primes_between(n + 1, 2 * n)]
+    listed = table_10k.primes.tolist()
+    pairs = [(n, p) for n in range(1, 51) for p in listed if n + 1 < p <= 2 * n]
     assert [(w["n"], w["p"]) for w in outcome.counterexamples] == pairs[:10]
     assert all(w["exponent"] == 0 for w in outcome.counterexamples)
     evaluated = [pair for block in blocks for pair in block]
     assert evaluated == pairs[: len(evaluated)]
     assert all(0 < len(block) <= 7 for block in blocks)
     assert len(evaluated) - len(blocks[-1]) < 10 <= len(evaluated)
+
+
+def test_k_sweeps_stop_at_the_tenth_witness(monkeypatch):
+    # with every remainder 1, each k is a witness; the sweep evaluates no
+    # block after the one that yields the tenth (or, per b, the first)
+    blocks = []
+
+    def ones(values, z, spf):
+        blocks.append(values.tolist())
+        return np.ones(len(values), dtype=np.int64)
+
+    monkeypatch.setattr(claims, "sigma_mod_block", ones)
+    outcome = verify_family(5, 10_000)
+    assert [w["k"] for w in outcome.counterexamples] == list(range(1, 11))
+    assert blocks == [[5 * k - 1 for k in range(1, 17)]]
+
+    blocks.clear()
+    result = search_conjecture(6, 1_000)
+    assert result.survivors == []
+    assert [w["witness_k"] for w in result.eliminated] == [1] * 5
+    assert blocks == [[b * k - 1 for k in range(1, 17)] for b in range(2, 7)]
+
+
+def _check_blocks(lo, hi, block):
+    blocks = list(claims._blocks(lo, hi))
+    if lo > hi:
+        assert blocks == []
+        return
+    assert all(b.dtype == np.int64 and b.size > 0 for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), np.arange(lo, hi + 1))
+    # 16, 32, ... capped at the block size; only the last may fall short
+    full = [min(min(16, block) << i, block) for i in range(len(blocks))]
+    sizes = [b.size for b in blocks]
+    assert sizes[:-1] == full[:-1] and sizes[-1] <= full[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=st.integers(-50, 10**6), length=st.integers(-3, 20_000))
+def test_blocks_double_up_to_the_default_cap(lo, length):
+    _check_blocks(lo, lo + length - 1, claims._BLOCK)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=st.integers(0, 1_000), length=st.integers(-3, 400), block=st.integers(1, 40))
+def test_blocks_double_up_to_a_patched_cap(lo, length, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(claims, "_BLOCK", block)
+        _check_blocks(lo, lo + length - 1, block)
 
 
 def _holds_by_factorization(n, table):
@@ -244,7 +293,6 @@ def test_outcomes_do_not_depend_on_block_size(monkeypatch, block):
 
     expected = outcomes()
     monkeypatch.setattr(claims, "_BLOCK", block)
-    monkeypatch.setattr(claims, "_INDEX_BLOCK", block)
     assert outcomes() == expected
 
 

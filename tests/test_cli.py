@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 import os
@@ -280,6 +281,27 @@ def test_reports_are_byte_stable(capsys):
     _, first, _ = invoke(capsys, "verify", "lemma-six", "--k-max", "500")
     _, second, _ = invoke(capsys, "verify", "lemma-six", "--k-max", "500")
     assert first == second
+
+
+# sha256 of stdout and the exit code of small acceptance commands: reports
+# stay byte-identical for the same arguments, so a change that moves a
+# report byte or an exit code fails here
+GOLDEN_REPORTS = [
+    ("verify family --z 5 --k-max 20000", 1, "b8ded439534bf9a068148175688f57f9274163eecb7ccb2b46a14d699b47c97d"),
+    ("verify conjecture --b-max 40 --k-max 200", 0, "185428510a71158760682281440d727a75eefdb0b2cd0522792400037e5e75db"),
+    ("verify theorem1 --n-min 0 --n-max 300", 1, "11576a3cdfbdba5909c15436e3409a2872a160997c4255d7f624f643f095cbf6"),
+    ("verify sigma-catalan --n-min 0 --n-max 300", 1, "bfcf787612e363d4af5736f249811050e56473fe6657a02668c79a7eeb2828cc"),
+    ("verify erdos --n-max 300", 0, "2d7584d942d7e9c5fd5829f724edc3ac80c4573b095f18313c5a86256014f8dd"),
+    ("verify mersenne --n-max 3000", 0, "5b9189f4da89cfc2dd8008fc7fc124a44325ce73a7af8caf79832acade3652e2"),
+    ("omega --range 100:2000:100 --format csv", 0, "e11541f51e24b67900307637f905676fd0600d45abc2cdf4ea9e8fc759f1ab45"),
+    ("factor-catalan 183", 0, "2d89f4f032f3d35e594f5c56c763dbcf6b433de3af0a1becdca598f1723adb32"),
+]
+
+
+@pytest.mark.parametrize("command,exit_code,digest", GOLDEN_REPORTS, ids=[c for c, _, _ in GOLDEN_REPORTS])
+def test_golden_reports(capsys, command, exit_code, digest):
+    code, out, _ = invoke(capsys, *command.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
 
 
 def test_timing_flag_populates_elapsed(capsys):

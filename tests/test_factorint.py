@@ -110,7 +110,5 @@ def test_factorization_validation():
     f = Factorization(((2, 2), (3, 1)))
     assert f.value == 12
     assert f.prime_factors() == (2, 3)
-    assert f.exponent_of(2) == 2
-    assert f.exponent_of(7) == 0
     assert len(f) == 2
 

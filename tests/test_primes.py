@@ -35,11 +35,8 @@ def test_primes_are_spf_fixed_points():
         assert table.primes.dtype == np.int64 and table.primes.ndim == 1
         fixed = np.flatnonzero(table.spf == np.arange(limit + 1)).tolist()
         assert table.primes.tolist() == [m for m in fixed if m >= 2]
-        # Python ints are made where primes leave the table
-        listed = table.primes_between(0, limit)
-        assert listed == table.primes.tolist()
-        assert all(type(p) is int for p in listed)
     assert table.pi(1_300_000) == 100021  # frozen
+    # Python ints are made where primes leave the table
     entries = catalan_factorization(650_000, table).entries
     assert entries and all(type(p) is int and type(e) is int for p, e in entries)
 
@@ -77,13 +74,6 @@ def test_spf_is_smallest_prime_factor(table_10k):
     spf = table_10k.spf
     for m in range(2, 10_001):
         assert spf[m] == min(oracles.trial_factor(m))
-
-
-def test_primes_between(table_10k):
-    assert table_10k.primes_between(8, 14) == [11, 13]
-    assert table_10k.primes_between(2, 2) == []
-    with pytest.raises(ValueError):
-        table_10k.primes_between(1, 20_000)
 
 
 def test_twin_detection_agrees_with_prime_list(table_100k):
