@@ -2,8 +2,7 @@
 plus sweeping verifiers for the divisibility claims built on them.
 
 Catalan indices are plain nonnegative ints in the standard convention
-(index 0 gives 1); see catsigma.catalan for the one-based offset used by
-some references.
+(index 0 gives 1).
 """
 
 __version__ = "0.1.0"
@@ -11,7 +10,6 @@ __version__ = "0.1.0"
 from .asymptotics import TWIN_PRIME_CONSTANT, OmegaRecord, omega_record, omega_table
 from .catalan import (
     CATALAN_EXACT_CEILING,
-    ONE_BASED_OFFSET,
     asymptotic_log,
     catalan_exact,
     catalan_factorization,
@@ -50,7 +48,6 @@ __all__ = [
     "omega_record",
     "omega_table",
     "CATALAN_EXACT_CEILING",
-    "ONE_BASED_OFFSET",
     "asymptotic_log",
     "catalan_exact",
     "catalan_factorization",

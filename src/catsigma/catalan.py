@@ -3,8 +3,7 @@ shifted product forms, parity, digit counts, and closed-form growth estimates.
 
 Indexing is the standard one throughout: catalan_exact(0) == 1 and
 catalan_exact(n) == C(2n, n) / (n + 1).  References that start the sequence
-at index 1 call our catalan_exact(n - 1) their nth term; use
-ONE_BASED_OFFSET to convert rather than re-deriving formulas.
+at index 1 call our catalan_exact(n - 1) their nth term.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ import numpy as np
 from .errors import CapacityError, InconsistencyError
 from .factorint import Factorization, legendre_valuation
 from .primes import PrimeTable, build_prime_table, is_prime
-
-# Offset between one-based sequence conventions and ours (see module doc).
-ONE_BASED_OFFSET = 1
 
 # Largest index accepted for exact big-integer evaluation; catalan_exact(10**6)
 # has about 602,000 digits, multiplied out of its factorization in 3.3-4.5 s

@@ -4,15 +4,16 @@ Each verifier builds the prime table its range needs, sweeps the range in
 ascending order, and returns a VerificationOutcome carrying the first ten
 counterexample witnesses; the sweep stops once it has them.  The
 conjecture search keeps only the first failing k of each modulus.  Every
-sweep takes its blocks from _blocks, 16 entries doubling up to 4096, and
-runs a block only when the caller asks for more witnesses than the earlier
-blocks gave.  The sigma(z*k - 1) sweeps (lemma six, the family, the
-conjecture search) compute a block of remainders with one sigma_mod_block
-call and factor only the values they report.  The index sweeps are numpy
-passes built on catalan._valuation_block; erdos blocks its (n, p) pairs.
-theorem1 and sigma-catalan factor only the indices that _certified cannot
-vouch for, so their witnesses come from the full factorization.  Witness
-records are plain dicts so they serialize as-is.
+sweep but two takes its blocks from _blocks, 16 entries doubling up to
+4096, and runs a block only when the caller asks for more witnesses than
+the earlier blocks gave.  The sigma(z*k - 1) sweeps (lemma six, the family,
+the conjecture search) compute a block of remainders with one
+sigma_mod_block call and factor only the values they report.  erdos and
+mersenne are numpy passes built on catalan._valuation_block; erdos blocks
+its (n, p) pairs.  theorem1 and sigma-catalan are the other two: they
+factor only the indices that _uncovered lists from one scan of the gaps
+between primes congruent to 5 mod 6, so their witnesses come from the full
+factorization.  Witness records are plain dicts so they serialize as-is.
 """
 
 from __future__ import annotations
@@ -180,40 +181,36 @@ def search_conjecture(b_max: int, k_max: int) -> ConjectureSearch:
     return ConjectureSearch(b_max, k_max, survivors, eliminated, perf_counter() - started)
 
 
-def _certified(ns: np.ndarray, fives: np.ndarray) -> np.ndarray:
-    """True where the largest prime q congruent to 5 mod 6 with q <= 2n
-    divides C_n to an odd power e; fives are the ascending primes congruent
-    to 5 mod 6 of a table covering 2n.  Such a q is a 6k - 1 factor of C_n,
-    and its sigma term 1 + q + ... + q**e, e + 1 terms alternating 1 and -1
-    mod 6, is 0 mod 6, so 6 | sigma(C_n).  An n with no such q (2n < 5) is
-    never certified."""
-    at = np.searchsorted(fives, 2 * ns, side="right") - 1
-    has = at >= 0
-    certified = np.zeros(ns.shape, dtype=bool)
-    certified[has] = _valuation_block(ns[has], fives[at[has]]) % 2 == 1
-    return certified
-
-
-def _uncertified(n_min: int, n_max: int, table: PrimeTable):
-    """The n in [n_min, n_max] that _certified does not vouch for, in
-    ascending order, one block from _blocks at a time; the caller settles
-    each through the full factorization."""
-    fives = table.primes[table.primes % 6 == 5]
-    for ns in _blocks(n_min, n_max):
-        yield from ns[~_certified(ns, fives)].tolist()
+def _uncovered(n_min: int, n_max: int, primes: np.ndarray):
+    """The n in [n_min, n_max] with no prime q congruent to 5 mod 6 in
+    (n + 1, 2n], ascending; primes are the ascending primes of a table
+    covering 2 * n_max.  Such a q divides C_n exactly once (2n // q = 1,
+    (n + 1) // q = n // q = 0 and q * q > 2n), so it is a 6k - 1 factor,
+    and sigma's q-term 1 + q is 0 mod 6.  Between consecutive such primes
+    q < q', the n with q <= 2n < q' lack one exactly when n >= q - 1: they
+    run from q - 1 to (q' - 1) // 2, a gap only where q' > 2q - 2.  The n
+    with 2n < 5 (which have no such prime) come first, and for the last
+    such prime q the n from q - 1 to n_max come last.  The scan compares
+    views of those primes: a padded copy of them raised its peak memory."""
+    fives = primes[primes % 6 == 5]
+    at = np.flatnonzero(fives[1:] > 2 * fives[:-1] - 2)
+    starts = [-1, *(fives[at] - 1).tolist(), *(fives[-1:] - 1).tolist()]
+    ends = [*((fives[:1] - 1) // 2).tolist(), *((fives[at + 1] - 1) // 2).tolist(), n_max]
+    for lo, hi in zip(starts, ends):
+        yield from range(max(lo, n_min), min(hi, n_max) + 1)
 
 
 def verify_theorem_6kminus1(n_min: int, n_max: int) -> VerificationOutcome:
     """Check that each Catalan number in the index range has at least one
     prime factor congruent to 5 mod 6; witnesses list the indices without.
-    Only the indices _certified cannot vouch for are factored."""
+    Only the indices _uncovered lists are factored."""
     started = perf_counter()
     if n_min < 0 or n_max < n_min:
         raise ValueError("need 0 <= n_min <= n_max")
     table = build_prime_table(max(2 * n_max, 2))
 
     def witnesses():
-        for n in _uncertified(n_min, n_max, table):
+        for n in _uncovered(n_min, n_max, table.primes):
             factors = catalan_factorization(n, table)
             if not any(p % 6 == 5 for p, _ in factors):
                 yield {"n": n, "primes": list(factors.prime_factors())}
@@ -224,14 +221,14 @@ def verify_theorem_6kminus1(n_min: int, n_max: int) -> VerificationOutcome:
 def verify_sigma_catalan(n_min: int, n_max: int) -> VerificationOutcome:
     """Check 6 | sigma(catalan(n)) over the index range, working modulo 6
     on the factorization (the exact sigma value is never formed).  Only the
-    indices _certified cannot vouch for are factored."""
+    indices _uncovered lists are factored."""
     started = perf_counter()
     if n_min < 0 or n_max < n_min:
         raise ValueError("need 0 <= n_min <= n_max")
     table = build_prime_table(max(2 * n_max, 2))
 
     def witnesses():
-        for n in _uncertified(n_min, n_max, table):
+        for n in _uncovered(n_min, n_max, table.primes):
             r = sigma_mod(catalan_factorization(n, table), 6)
             if r:
                 yield {"n": n, "remainder": r}

@@ -1,10 +1,12 @@
 """Brute-force reference implementations for cross-checking test results.
 
 Everything here is deliberately naive and independent of the package's own
-code paths: trial division, divisor scans and sieves, bit tricks, binomial
-coefficients, and chunked digit counting.
+code paths: trial division, a bytearray prime sieve, divisor scans and
+sieves, base-p carry counts, bit tricks, binomial coefficients, and chunked
+digit counting.
 """
 
+from itertools import compress
 from math import comb, isqrt
 
 
@@ -34,6 +36,15 @@ def trial_factor(n: int) -> dict[int, int]:
     return out
 
 
+def primes_by_sieve(limit: int) -> list[int]:
+    """The primes <= limit, by a sieve of Eratosthenes over a bytearray."""
+    sieve = bytearray(2) + bytearray([1]) * (limit - 1)  # 0 and 1 are not prime
+    for d in range(2, isqrt(limit) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, limit + 1, d)))
+    return list(compress(range(limit + 1), sieve))
+
+
 def sigma_by_scan(n: int) -> int:
     """Sum of divisors by scanning d <= sqrt(n)."""
     total = 0
@@ -57,6 +68,17 @@ def divisor_pairs(limit: int, z: int = 1, r: int = 0):
             if d * q0 % z == r:
                 for q in range(q0, limit // d + 1, z):
                     yield d * q, d, q
+
+
+def carries(a: int, b: int, p: int) -> int:
+    """Number of carries when a + b is added in base p; by Kummer's theorem
+    this is the exponent of the prime p in C(a + b, a)."""
+    count = carry = 0
+    while a or b or carry:
+        carry = int(a % p + b % p + carry >= p)
+        count += carry
+        a, b = a // p, b // p
+    return count
 
 
 def catalan_by_comb(n: int) -> int:

@@ -1,9 +1,10 @@
+from bisect import bisect_right
 from dataclasses import replace
 from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -25,6 +26,7 @@ from catsigma import (
     verify_sigma_catalan,
     verify_theorem_6kminus1,
 )
+from catsigma.catalan import _valuation_block
 
 
 def test_lemma_six_holds_small():
@@ -134,6 +136,35 @@ def test_erdos_interval():
     assert verify_erdos_interval(300).holds
 
 
+def test_erdos_exponents_are_kummer_carries():
+    # Kummer: the exponent of p in C(2n, n) is the number of carries in
+    # n + n in base p, and a p in (n + 1, 2n] does not divide n + 1, so it
+    # is also the exponent of p in C_n
+    listed = oracles.primes_by_sieve(6_000)
+    pairs = [
+        (n, p)
+        for n in range(1, 3_001)
+        for p in listed[bisect_right(listed, n + 1) : bisect_right(listed, 2 * n)]
+    ]
+    assert len(pairs) == 564_987
+    carried = [oracles.carries(n, n, p) for n, p in pairs]
+    ns, ps = np.array(pairs, dtype=np.int64).T
+    assert _valuation_block(ns, ps).tolist() == carried == [1] * len(pairs)
+
+
+def test_index_claims_hold_from_6_to_a_million_by_an_independent_sieve():
+    # from the oracle's own sieve, every n in 6..10**6 has a prime
+    # q = 5 mod 6 in (n + 1, 2n]; such a q divides C_n exactly once
+    # (2n // q = 1, (n + 1) // q = n // q = 0, q * q > 2n), so C_n has a
+    # 6k - 1 factor and 6 | sigma(C_n), and both sweeps must hold there
+    n_max = 10**6
+    fives = [q for q in oracles.primes_by_sieve(2 * n_max) if q % 6 == 5]
+    lacking = [n for n in range(6, n_max + 1) if fives[bisect_right(fives, 2 * n) - 1] <= n + 1]
+    assert lacking == []
+    assert verify_theorem_6kminus1(6, n_max).holds
+    assert verify_sigma_catalan(6, n_max).holds
+
+
 def test_index_sweep_stops_at_the_tenth_witness(table_10k, monkeypatch):
     # with every valuation 0, each prime in (n+1, 2n] is a witness; the
     # sweep reports the first ten (n, p) pairs and evaluates no block after
@@ -214,28 +245,31 @@ def _fives(table):
     return table.primes[table.primes % 6 == 5]
 
 
-def test_certified_indices_hold_by_factorization(table_10k):
-    ns = np.arange(0, 5_001, dtype=np.int64)
-    certified = claims._certified(ns, _fives(table_10k))
-    assert set(ns[~certified].tolist()) == set(SMALL_INDEX_EXCEPTIONS)
-    for n in ns[certified].tolist():
-        assert _holds_by_factorization(n, table_10k) == (True, True)
+def test_uncovered_indices_are_the_small_exceptions(table_10k):
+    uncovered = list(claims._uncovered(0, 5_000, table_10k.primes))
+    assert uncovered == sorted(SMALL_INDEX_EXCEPTIONS)
+    for n in range(5_001):
+        if n not in SMALL_INDEX_EXCEPTIONS:
+            assert _holds_by_factorization(n, table_10k) == (True, True)
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(0, 10**5))
-def test_certified_random_indices_hold_by_factorization(table_200k, n):
-    [certified] = claims._certified(np.array([n]), _fives(table_200k))
-    assert certified == (n not in SMALL_INDEX_EXCEPTIONS)
-    if certified:
+@given(a=st.integers(0, 10**5), length=st.integers(1, 10**5))
+@example(a=4, length=6)  # a window that starts inside a gap
+def test_uncovered_indices_in_random_windows(table_200k, a, length):
+    # the table reaches past 2b, so the scan also meets primes beyond it
+    b = min(a + length - 1, 10**5)
+    uncovered = list(claims._uncovered(a, b, table_200k.primes))
+    assert uncovered == sorted(n for n in SMALL_INDEX_EXCEPTIONS if a <= n <= b)
+    for n in {a, b} - SMALL_INDEX_EXCEPTIONS:
         assert _holds_by_factorization(n, table_200k) == (True, True)
 
 
-def test_index_sweeps_without_the_certificate(monkeypatch):
+def test_index_sweeps_without_the_gap_list(monkeypatch):
     expected = [verify_theorem_6kminus1(0, 3_000), verify_sigma_catalan(0, 3_000)]
-    monkeypatch.setattr(claims, "_certified", lambda ns, fives: np.zeros(len(ns), dtype=bool))
-    uncertified = [verify_theorem_6kminus1(0, 3_000), verify_sigma_catalan(0, 3_000)]
-    assert [o.counterexamples for o in uncertified] == [o.counterexamples for o in expected]
+    monkeypatch.setattr(claims, "_uncovered", lambda n_min, n_max, primes: iter(range(n_min, n_max + 1)))
+    factored = [verify_theorem_6kminus1(0, 3_000), verify_sigma_catalan(0, 3_000)]
+    assert [o.counterexamples for o in factored] == [o.counterexamples for o in expected]
 
 
 def test_index_sweeps_over_tables_without_a_5_mod_6_prime(monkeypatch):

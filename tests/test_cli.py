@@ -295,6 +295,11 @@ GOLDEN_REPORTS = [
     ("verify mersenne --n-max 3000", 0, "5b9189f4da89cfc2dd8008fc7fc124a44325ce73a7af8caf79832acade3652e2"),
     ("omega --range 100:2000:100 --format csv", 0, "e11541f51e24b67900307637f905676fd0600d45abc2cdf4ea9e8fc759f1ab45"),
     ("factor-catalan 183", 0, "2d89f4f032f3d35e594f5c56c763dbcf6b433de3af0a1becdca598f1723adb32"),
+    ("verify theorem1 --n-min 0 --n-max 1000000", 1, "db01d8d74fc36431e75c2e1b62f2c7417fea89db439e2b808d9291f35327bda9"),
+    ("verify sigma-catalan --n-min 6 --n-max 1000000", 0, "493237c11cf0e47e8363982cb498f4b5246de64209a984660cae31ee8eb65d65"),
+    # windows that start inside a gap of primes congruent to 5 mod 6
+    ("verify theorem1 --n-min 4 --n-max 9", 1, "e9116b70230aeb4419b646fef92aaeeffcf3e42c701d2cdf7fceffc45dc71a6e"),
+    ("verify sigma-catalan --n-min 5 --n-max 6", 0, "b6640ec0d64748ac2a243a6965049e0bcc7bef82424bd8939f5356c40f1b3aef"),
 ]
 
 
