@@ -51,8 +51,10 @@ def _valuation_block(ns, ps) -> np.ndarray:
     power.  A scalar p stays a scalar divisor, which numpy divides by
     faster than by an array.  A call holds about four arrays of the input's
     size (the index sweeps keep their blocks near numpy's import memory
-    floor)."""
+    floor).  Any p < 2 raises ValueError: p = 1 would never end the loop."""
     n, p = np.atleast_1d(np.asarray(ns, dtype=np.int64)), np.asarray(ps, dtype=np.int64)
+    if (p < 2).any():
+        raise ValueError("p must be >= 2")
     t, m, n = 2 * n // p, (n + 1) // p, n // p
     v = t - m - n
     deep = t >= p

@@ -107,7 +107,7 @@ def _sigma_failures(z: int, k_max: int, table: PrimeTable):
     sigma(z*k - 1), in ascending k.  Each block of k from _blocks is one
     sigma_mod_block call."""
     for ks in _blocks(1, k_max):
-        remainders = sigma_mod_block(z * ks - 1, z, table.spf)
+        remainders = sigma_mod_block(z * ks - 1, z, table.spf, table.limit)
         bad = np.flatnonzero(remainders)[:_MAX_WITNESSES]  # no caller asks for more
         hits = zip(ks[bad].tolist(), remainders[bad].tolist())
         # freed before the caller resumes, so one block is held at a time
@@ -188,16 +188,26 @@ def _uncovered(n_min: int, n_max: int, primes: np.ndarray):
     (n + 1) // q = n // q = 0 and q * q > 2n), so it is a 6k - 1 factor,
     and sigma's q-term 1 + q is 0 mod 6.  Between consecutive such primes
     q < q', the n with q <= 2n < q' lack one exactly when n >= q - 1: they
-    run from q - 1 to (q' - 1) // 2, a gap only where q' > 2q - 2.  The n
-    with 2n < 5 (which have no such prime) come first, and for the last
-    such prime q the n from q - 1 to n_max come last.  The scan compares
-    views of those primes: a padded copy of them raised its peak memory."""
-    fives = primes[primes % 6 == 5]
-    at = np.flatnonzero(fives[1:] > 2 * fives[:-1] - 2)
-    starts = [-1, *(fives[at] - 1).tolist(), *(fives[-1:] - 1).tolist()]
-    ends = [*((fives[:1] - 1) // 2).tolist(), *((fives[at + 1] - 1) // 2).tolist(), n_max]
-    for lo, hi in zip(starts, ends):
-        yield from range(max(lo, n_min), min(hi, n_max) + 1)
+    run from q - 1 to (q' - 1) // 2, a gap only where q' > 2q - 2.  A
+    sentinel q = 0 before the first such prime gives the n with 2n < 5
+    (which have no such prime), and for the last such prime q the n from
+    q - 1 to n_max come last.  The primes are scanned _BLOCK at a time, so
+    no temporary spans the whole array, and the scan stops once q - 1
+    passes n_max."""
+    q = 0
+    for at in range(0, len(primes), _BLOCK):
+        if q - 1 > n_max:
+            return
+        block = primes[at : at + _BLOCK]
+        nxt = block[block % 6 == 5]
+        if not nxt.size:
+            continue
+        prev = np.concatenate(([q], nxt[:-1]))
+        gap = np.flatnonzero(nxt > 2 * prev - 2)
+        for lo, hi in zip((prev[gap] - 1).tolist(), ((nxt[gap] - 1) // 2).tolist()):
+            yield from range(max(lo, n_min), min(hi, n_max) + 1)
+        q = int(nxt[-1])
+    yield from range(max(q - 1, n_min), n_max + 1)
 
 
 def verify_theorem_6kminus1(n_min: int, n_max: int) -> VerificationOutcome:

@@ -35,32 +35,39 @@ def sigma_mod(f: Factorization, m: int) -> int:
     return total
 
 
-def sigma_mod_block(values: np.ndarray, z: int, spf: np.ndarray) -> np.ndarray:
+def sigma_mod_block(values: np.ndarray, z: int, spf: np.ndarray, limit: int | None = None) -> np.ndarray:
     """sigma(v) mod z for every entry v of values, as an int64 array.
 
-    The array form of factor_u64 plus sigma_mod over an spf table, which
-    must cover every value (1 <= v < len(spf); sigma(1) == 1).  Each step
-    divides the smallest prime factor out of every unfinished entry and
-    drops the entries that reach 1, so a block costs as many steps as its
-    largest prime-factor count (fewer than 32).  Prime-power terms and their
-    product are kept exact: each is a divisor-sum of a divisor of v, so no
-    intermediate exceeds sigma(v) < 2**36 for v < 2**32 and int64 cannot
-    wrap.  Only the finished sigma is reduced mod z.
+    The array form of factor_u64 plus sigma_mod over a table's odd-only spf
+    array, which must cover every value: 1 <= v <= limit, where limit is
+    the table's and defaults to 2 * len(spf), the largest limit whose table
+    has that many entries (sigma(1) == 1).  The power of two, low = v & -v,
+    comes off first, with sigma term 2 * low - 1.  Each later step divides
+    the smallest odd prime factor, spf[rest >> 1] or rest itself where that
+    entry is 0, out of every unfinished entry and drops the entries that
+    reach 1, so a block costs as many steps as its largest odd prime-factor
+    count (fewer than 21).  Prime-power terms and their product are kept
+    exact: each is a divisor-sum of a divisor of v, so no intermediate
+    exceeds sigma(v) < 2**36 for v < 2**32 and int64 cannot wrap.  Only the
+    finished sigma is reduced mod z.
     """
     if z < 2:
         raise ValueError("modulus must be >= 2")
+    top = 2 * len(spf) if limit is None else min(limit, 2 * len(spf))
     values = np.asarray(values, dtype=np.int64)
-    if values.size and (values.min() < 1 or values.max() >= len(spf)):
-        raise ValueError(f"values must lie in [1, {len(spf) - 1}]")
-    sigma = np.ones(values.shape, dtype=np.int64)
-    live = np.flatnonzero(values > 1)
-    rest = values[live]
+    if values.size and (values.min() < 1 or values.max() > top):
+        raise ValueError(f"values must lie in [1, {top}]")
+    low = values & -values
+    sigma = 2 * low - 1
+    live = np.flatnonzero(values != low)
+    rest = values[live] >> np.bitwise_count(low[live] - 1)
     prime = np.zeros_like(rest)  # prime of the open term
     power = np.ones_like(rest)  # its highest power divided out so far
     term = np.ones_like(rest)  # 1 + prime + ... + power
-    closed = np.ones_like(rest)  # product of the finished terms
+    closed = sigma[live]  # product of the finished terms
     while live.size:
-        p = spf[rest].astype(np.int64)
+        p = spf[rest >> 1]
+        p = np.where(p == 0, rest, p)
         rest //= p
         new = p != prime
         closed = np.where(new, closed * term, closed)

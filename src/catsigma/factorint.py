@@ -69,17 +69,21 @@ def legendre_valuation(n: int, p: int) -> int:
 
 
 def factor_u64(n: int, table: PrimeTable) -> Factorization:
-    """Factor n into its canonical form by walking the table's spf array.
+    """Factor n into its canonical form by walking the table's spf array:
+    the power of two comes off first, then each odd prime from
+    spf[n >> 1], or n itself where that entry is 0 (n is prime).
 
     The domain is [2, table.limit]; any other n raises ValueError.
     """
     if not 2 <= n <= table.limit:
         raise ValueError(f"{n} outside [2, {table.limit}]")
-    entries = []
+    twos = (n & -n).bit_length() - 1
+    entries = [(2, twos)] if twos else []
+    n >>= twos
     while n > 1:
-        # a Python int, not the table's uint32: callers raise primes to
+        # a Python int, not the table's uint16: callers raise primes to
         # powers and serialize them
-        p = int(table.spf[n])
+        p = int(table.spf[n >> 1]) or n
         e = 0
         while n % p == 0:
             n //= p

@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive and independent of the package's own
 code paths: trial division, a bytearray prime sieve, divisor scans and
-sieves, base-p carry counts, bit tricks, binomial coefficients, and chunked
-digit counting.
+sieves (one of them in numpy), base-p carry counts, bit tricks, binomial
+coefficients, and chunked digit counting.
 """
 
 from itertools import compress
 from math import comb, isqrt
+
+import numpy as np
 
 
 def trial_is_prime(n: int) -> bool:
@@ -68,6 +70,29 @@ def divisor_pairs(limit: int, z: int = 1, r: int = 0):
             if d * q0 % z == r:
                 for q in range(q0, limit // d + 1, z):
                     yield d * q, d, q
+
+
+def sigma_by_pair_sieve(limit: int, z: int = 1, r: int = 0, chunk: int = 1 << 16) -> np.ndarray:
+    """sigma(m) for every m = z * j + r <= limit (0 <= r < z, j >= 0), as
+    an int64 array indexed by j; sigma(0) reads 0.  A divisor-pair sieve:
+    each d <= sqrt(limit) adds d + q to every m = d * q with q > d, and d
+    alone where q = d.  The q with d * q % z == r repeat mod z, so each
+    class found among q = d .. d + z - 1 runs in steps of z, and its m sit
+    at every d-th entry.  A row is added at most `chunk` entries at a time,
+    so the d = 1 row never spans the whole range."""
+    out = np.zeros((limit - r) // z + 1, dtype=np.int64)
+    for d in range(1, isqrt(limit) + 1):
+        for q0 in range(d, min(d + z, limit // d + 1)):
+            if d * q0 % z != r:
+                continue
+            rows = (limit // d - q0) // z + 1
+            j0 = (d * q0 - r) // z
+            for t in range(0, rows, chunk):
+                q = q0 + z * np.arange(t, min(rows, t + chunk), dtype=np.int64)
+                out[j0 + d * t :: d][: len(q)] += d + q
+            if q0 == d:
+                out[j0] -= d
+    return out
 
 
 def carries(a: int, b: int, p: int) -> int:

@@ -107,6 +107,14 @@ def test_valuation_block_matches_catalan_valuation(table_200k, pairs):
     assert _valuation_block(ns, 2).tolist() == [catalan_valuation(n, 2) for n in ns.tolist()]
 
 
+def test_valuation_block_rejects_p_below_two():
+    # p = 1 never shrinks the quotients, so the loop would not end
+    ns = np.array([10, 20], dtype=np.int64)
+    for ps in (1, 0, -3, np.array([3, 1]), np.array([0, 5])):
+        with pytest.raises(ValueError):
+            _valuation_block(ns, ps)
+
+
 @pytest.mark.parametrize("n,expected", [(3, 0), (4, 1), (6, 2), (0, 0)])
 def test_v2_examples(n, expected):
     assert catalan_v2(n) == expected

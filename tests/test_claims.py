@@ -193,7 +193,7 @@ def test_k_sweeps_stop_at_the_tenth_witness(monkeypatch):
     # block after the one that yields the tenth (or, per b, the first)
     blocks = []
 
-    def ones(values, z, spf):
+    def ones(values, z, spf, limit):
         blocks.append(values.tolist())
         return np.ones(len(values), dtype=np.int64)
 

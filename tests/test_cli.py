@@ -143,7 +143,7 @@ def test_memory_checked_before_sieving(capsys, monkeypatch):
     def refuse(limit):
         pytest.fail(f"sieved to {limit} past the memory budget")
 
-    monkeypatch.setattr(primes, "_physical_memory", lambda: 64 * 2**20)
+    monkeypatch.setattr(primes, "_physical_memory", lambda: 16 * 2**20)
     assert invoke(capsys, "factor-catalan", "7")[0] == 0  # a small table still fits
     monkeypatch.setattr(primes, "_build_spf", refuse)
     for argv in (

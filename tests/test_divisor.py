@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catsigma import FAMILY_MODULI, Factorization, factor_u64, sigma_exact, sigma_mod, sigma_mod_block
+from catsigma import FAMILY_MODULI, Factorization, build_prime_table, factor_u64, sigma_exact, sigma_mod, sigma_mod_block
 
 
 @pytest.mark.parametrize(
@@ -31,7 +31,7 @@ def test_sigma_exact_matches_divisor_scan(table_100k):
 @pytest.mark.parametrize("n", [2003**2, 2417**2, 5 * 1_000_003])
 def test_sigma_exact_on_spf_factors_past_32_bits(table_6m, n):
     f = factor_u64(n, table_6m)
-    # p**(e + 1) leaves the uint32 range of the spf table for some prime
+    # p**(e + 1) leaves the 32-bit range for some prime
     assert any(p ** (e + 1) > 2**32 for p, e in f)
     assert sigma_exact(f) == oracles.sigma_by_scan(n)
 
@@ -55,6 +55,37 @@ def test_sigma_mod_block_validation(table_10k):
         sigma_mod_block(np.array([0, 5]), 6, spf)
     with pytest.raises(ValueError):
         sigma_mod_block(np.array([10_001]), 6, spf)
+
+
+def test_sigma_mod_block_edges():
+    # sigma(2**a) = 2**(a + 1) - 1; values up to the table's own limit,
+    # even or odd, are accepted, and one past it is refused
+    for limit in (10_000, 10_007):
+        table = build_prime_table(limit)
+        powers = [2**a for a in range(limit.bit_length())]
+        assert sigma_mod_block(np.array(powers), 2**62, table.spf, limit).tolist() == [2 * v - 1 for v in powers]
+        top = np.array([limit - 1, limit])
+        assert sigma_mod_block(top, 2**62, table.spf, limit).tolist() == [oracles.sigma_by_scan(v) for v in top]
+        with pytest.raises(ValueError, match=rf"\[1, {limit}\]"):
+            sigma_mod_block(np.array([limit + 1]), 6, table.spf, limit)
+    # without a limit, the most a table of len(spf) entries covers
+    assert sigma_mod_block(np.array([10_008]), 2**62, table.spf).tolist() == [oracles.sigma_by_scan(10_008)]
+    with pytest.raises(ValueError):
+        sigma_mod_block(np.array([10_009]), 6, table.spf)
+
+
+def _exact_sigma_blocks(values, spf, block=2**16):
+    return np.concatenate([sigma_mod_block(values[at : at + block], 2**62, spf) for at in range(0, len(values), block)])
+
+
+def test_sigma_mod_block_whole_ranges_against_pair_sieve(table_6m):
+    # exact sigma (modulus 2**62, above every sigma here) for every v <= 10**6
+    # and for every 6k - 1 with k <= 10**6, lemma-six's acceptance range,
+    # against a divisor-pair sieve that shares no code with the spf table
+    values = np.arange(1, 10**6 + 1, dtype=np.int64)
+    assert (_exact_sigma_blocks(values, table_6m.spf) == oracles.sigma_by_pair_sieve(10**6)[1:]).all()
+    values = 6 * np.arange(1, 10**6 + 1, dtype=np.int64) - 1
+    assert (_exact_sigma_blocks(values, table_6m.spf) == oracles.sigma_by_pair_sieve(6 * 10**6 - 1, 6, 5)).all()
 
 
 @pytest.mark.parametrize(

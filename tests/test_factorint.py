@@ -3,7 +3,7 @@ from math import factorial
 import pytest
 
 import oracles
-from catsigma import Factorization, binary_digit_sum, factor_u64, legendre_valuation
+from catsigma import Factorization, binary_digit_sum, build_prime_table, factor_u64, legendre_valuation
 
 
 @pytest.mark.parametrize("n,p,expected", [(10, 2, 8), (8, 2, 7), (0, 5, 0), (1, 7, 0)])
@@ -86,6 +86,23 @@ def test_factor_rejects_out_of_range(table_10k):
     assert factor_u64(10_000, table_10k).value == 10_000
 
 
+def test_factor_even_numbers_and_the_limit():
+    # the power of two comes off before the odd-only table is read; the
+    # limit itself is in the domain, whether even, odd or prime
+    table = build_prime_table(10_007)  # prime
+    assert factor_u64(2**13, table).entries == ((2, 13),)
+    assert factor_u64(2, table).entries == ((2, 1),)
+    assert factor_u64(10_000, table).entries == ((2, 4), (5, 4))
+    assert factor_u64(2 * 3**2 * 7 * 79, table).entries == ((2, 1), (3, 2), (7, 1), (79, 1))
+    assert factor_u64(10_007, table).entries == ((10_007, 1),)
+    with pytest.raises(ValueError):
+        factor_u64(10_008, table)
+    table = build_prime_table(10_006)  # even, 2 * 5003
+    assert factor_u64(10_006, table).entries == ((2, 1), (5003, 1))
+    with pytest.raises(ValueError):
+        factor_u64(10_007, table)
+
+
 def test_factor_spf_path_exhaustive(table_100k):
     # the prime list itself is validated against trial division in test_primes
     pset = set(table_100k.primes)
@@ -93,7 +110,7 @@ def test_factor_spf_path_exhaustive(table_100k):
         f = factor_u64(n, table_100k)
         assert f.value == n
         assert all(p in pset for p, _ in f)
-        # Python ints, not the table's uint32, so powers cannot wrap
+        # Python ints, not the table's uint16, so powers cannot wrap
         assert all(type(p) is int and type(e) is int for p, e in f)
 
 
