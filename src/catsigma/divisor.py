@@ -42,14 +42,18 @@ def sigma_mod_block(values: np.ndarray, z: int, spf: np.ndarray, limit: int | No
     array, which must cover every value: 1 <= v <= limit, where limit is
     the table's and defaults to 2 * len(spf), the largest limit whose table
     has that many entries (sigma(1) == 1).  The power of two, low = v & -v,
-    comes off first, with sigma term 2 * low - 1.  Each later step divides
-    the smallest odd prime factor, spf[rest >> 1] or rest itself where that
-    entry is 0, out of every unfinished entry and drops the entries that
-    reach 1, so a block costs as many steps as its largest odd prime-factor
-    count (fewer than 21).  Prime-power terms and their product are kept
-    exact: each is a divisor-sum of a divisor of v, so no intermediate
-    exceeds sigma(v) < 2**36 for v < 2**32 and int64 cannot wrap.  Only the
-    finished sigma is reduced mod z.
+    comes off first, with sigma term 2 * low - 1.  An odd rest whose entry
+    spf[rest >> 1] is 0 is 1 or a prime, so its entry finishes at once with
+    the term rest + 1 (1 for rest == 1).  Each step takes the whole power of
+    the smallest odd prime factor p = spf[rest >> 1] out of every other
+    entry, with term 1 + p + ... + p**e, and drops the entries it finishes,
+    so a block costs one step fewer than its largest count of distinct odd
+    prime factors (at most 8 for v < 2**32).  Powers beyond p**1 are taken
+    in an inner loop over just the entries that p**2 divides.  Prime-power
+    terms and their product are kept exact: each is a divisor-sum of a
+    divisor of v, so no intermediate exceeds sigma(v) < 2**36 for
+    v < 2**32 and int64 cannot wrap.  Only the finished sigma is reduced
+    mod z.
     """
     if z < 2:
         raise ValueError("modulus must be >= 2")
@@ -58,27 +62,30 @@ def sigma_mod_block(values: np.ndarray, z: int, spf: np.ndarray, limit: int | No
     if values.size and (values.min() < 1 or values.max() > top):
         raise ValueError(f"values must lie in [1, {top}]")
     low = values & -values
-    sigma = 2 * low - 1
-    live = np.flatnonzero(values != low)
-    rest = values[live] >> np.bitwise_count(low[live] - 1)
-    prime = np.zeros_like(rest)  # prime of the open term
-    power = np.ones_like(rest)  # its highest power divided out so far
-    term = np.ones_like(rest)  # 1 + prime + ... + power
-    closed = sigma[live]  # product of the finished terms
+    rest = values >> np.bitwise_count(low - 1)
+    closed = 2 * low - 1  # product of the finished terms
+    nxt = spf[rest >> 1]
+    # right for the entries that finish here; the others are written again
+    sigma = closed * (rest + (rest > 1))
+    live = nxt.nonzero()[0]
+    rest, closed, p = rest[live], closed[live], nxt[live].astype(np.int64)
     while live.size:
-        p = spf[rest >> 1]
-        p = np.where(p == 0, rest, p)
         rest //= p
-        new = p != prime
-        closed = np.where(new, closed * term, closed)
-        power = np.where(new, p, power * p)
-        term = np.where(new, 1, term) + power
-        prime = p
-        done = rest == 1
-        if done.any():
-            sigma[live[done]] = closed[done] * term[done]
-            keep = ~done
-            live, rest, prime, power, term, closed = (
-                a[keep] for a in (live, rest, prime, power, term, closed)
-            )
+        term = p + 1
+        nxt = spf[rest >> 1]
+        again = ((nxt == p) | (rest == p)).nonzero()[0]  # p still divides rest
+        if again.size:
+            q = p[again]
+            r, t = rest[again] // q, term[again] * q + 1
+            more = r % q == 0
+            while more.any():
+                step = np.where(more, q, 1)
+                r //= step
+                t = t * step + more
+                more = r % q == 0
+            rest[again], term[again], nxt[again] = r, t, spf[r >> 1]
+        closed *= term
+        sigma[live] = closed * (rest + (rest > 1))
+        left = nxt.nonzero()[0]
+        live, rest, closed, p = live[left], rest[left], closed[left], nxt[left].astype(np.int64)
     return sigma % z
