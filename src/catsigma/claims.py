@@ -25,9 +25,9 @@ from time import perf_counter
 
 import numpy as np
 
-from .catalan import _valuation_block, catalan_factorization, catalan_v2
+from .catalan import _INT64_INDEX_BOUND, _valuation_block, catalan_factorization, catalan_v2
 from .divisor import sigma_exact, sigma_mod, sigma_mod_block
-from .errors import InconclusiveError
+from .errors import CapacityError, InconclusiveError
 from .factorint import binary_digit_sum, factor_u64
 from .primes import PrimeTable, build_prime_table
 
@@ -107,7 +107,7 @@ def _sigma_failures(z: int, k_max: int, table: PrimeTable):
     sigma(z*k - 1), in ascending k.  Each block of k from _blocks is one
     sigma_mod_block call."""
     for ks in _blocks(1, k_max):
-        remainders = sigma_mod_block(z * ks - 1, z, table.spf, table.limit)
+        remainders = sigma_mod_block(z * ks - 1, z, table)
         bad = np.flatnonzero(remainders)[:_MAX_WITNESSES]  # no caller asks for more
         hits = zip(ks[bad].tolist(), remainders[bad].tolist())
         # freed before the caller resumes, so one block is held at a time
@@ -285,10 +285,13 @@ def verify_mersenne_parity(n_max: int) -> VerificationOutcome:
     """Check the parity criterion for all n <= n_max: catalan(n) is odd iff
     n + 1 is a power of two, with the Legendre and digit-sum routes for the
     2-adic valuation agreeing everywhere.  Both routes run as array passes;
-    a flagged n reports catalan_v2(n) and binary_digit_sum(n + 1) - 1."""
+    a flagged n reports catalan_v2(n) and binary_digit_sum(n + 1) - 1.
+    The passes form 2n in int64, so n_max stays below 2**62."""
     started = perf_counter()
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if n_max >= _INT64_INDEX_BOUND:
+        raise CapacityError(f"2-adic valuation capped below index {_INT64_INDEX_BOUND}")
 
     def witnesses():
         for ns in _blocks(0, n_max):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .factorint import Factorization
+from .primes import PrimeTable
 
 
 def sigma_exact(f: Factorization) -> int:
@@ -35,32 +36,31 @@ def sigma_mod(f: Factorization, m: int) -> int:
     return total
 
 
-def sigma_mod_block(values: np.ndarray, z: int, spf: np.ndarray, limit: int | None = None) -> np.ndarray:
+def sigma_mod_block(values: np.ndarray, z: int, table: PrimeTable) -> np.ndarray:
     """sigma(v) mod z for every entry v of values, as an int64 array.
 
-    The array form of factor_u64 plus sigma_mod over a table's odd-only spf
-    array, which must cover every value: 1 <= v <= limit, where limit is
-    the table's and defaults to 2 * len(spf), the largest limit whose table
-    has that many entries (sigma(1) == 1).  The power of two, low = v & -v,
-    comes off first, with sigma term 2 * low - 1.  An odd rest whose entry
-    spf[rest >> 1] is 0 is 1 or a prime, so its entry finishes at once with
-    the term rest + 1 (1 for rest == 1).  Each step takes the whole power of
-    the smallest odd prime factor p = spf[rest >> 1] out of every other
-    entry, with term 1 + p + ... + p**e, and drops the entries it finishes,
-    so a block costs one step fewer than its largest count of distinct odd
-    prime factors (at most 8 for v < 2**32).  Powers beyond p**1 are taken
-    in an inner loop over just the entries that p**2 divides.  Prime-power
-    terms and their product are kept exact: each is a divisor-sum of a
-    divisor of v, so no intermediate exceeds sigma(v) < 2**36 for
-    v < 2**32 and int64 cannot wrap.  Only the finished sigma is reduced
-    mod z.
+    The array form of factor_u64 plus sigma_mod over the table's odd-only
+    spf array, which must cover every value: 1 <= v <= table.limit
+    (sigma(1) == 1); any other value raises ValueError.
+    The power of two, low = v & -v, comes off first, with sigma term
+    2 * low - 1.  An odd rest whose entry spf[rest >> 1] is 0 is 1 or a
+    prime, so its entry finishes at once with the term rest + 1 (1 for
+    rest == 1).  Each step takes the whole power of the smallest odd prime
+    factor p = spf[rest >> 1] out of every other entry, with term
+    1 + p + ... + p**e, and drops the entries it finishes, so a block costs
+    one step fewer than its largest count of distinct odd prime factors (at
+    most 8 for v < 2**32).  Powers beyond p**1 are taken in an inner loop
+    over just the entries that p**2 divides.  Prime-power terms and their
+    product are kept exact: each is a divisor-sum of a divisor of v, so no
+    intermediate exceeds sigma(v) < 2**36 for v < 2**32 and int64 cannot
+    wrap.  Only the finished sigma is reduced mod z.
     """
     if z < 2:
         raise ValueError("modulus must be >= 2")
-    top = 2 * len(spf) if limit is None else min(limit, 2 * len(spf))
     values = np.asarray(values, dtype=np.int64)
-    if values.size and (values.min() < 1 or values.max() > top):
-        raise ValueError(f"values must lie in [1, {top}]")
+    if values.size and (values.min() < 1 or values.max() > table.limit):
+        raise ValueError(f"values must lie in [1, {table.limit}]")
+    spf = table.spf
     low = values & -values
     rest = values >> np.bitwise_count(low - 1)
     closed = 2 * low - 1  # product of the finished terms

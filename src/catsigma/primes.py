@@ -1,18 +1,16 @@
 """Prime tables and deterministic primality testing.
 
-build_prime_table runs one smallest-prime-factor sieve: the entries that no
-smaller prime marks are the primes, so every table carries both the prime
-array and the spf array.  The spf array holds only the odd integers, as
-numpy uint16, 1 byte per integer: a composite m <= 2**32 - 1 has
-spf(m) <= sqrt(m) < 2**16, which caps a table's limit at 2**32 - 1, and a
-prime is marked by 0.  That cap and the estimated peak memory against the
-memory budget are checked before anything is allocated.
-"""
+A PrimeTable's two arrays, the primes and the odd-only smallest prime
+factor (spf) array, each come from one bytewise sieve of the odd integers
+when first read, so a caller pays only for the array it reads.  The uint16
+spf entries cap a table's limit at 2**32 - 1; that cap and the estimated
+peak memory against the memory budget are checked when a table is built."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt, log
 
 import numpy as np
@@ -28,13 +26,11 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 # Composites up to this limit have an spf below 2**16, so uint16 entries hold it.
 _SPF_LIMIT_MAX = 2**32 - 1
 
-# Peak memory of a table build: the uint16 spf array of the odd integers,
-# 1 byte per integer, and the 8 bytes of each prime's int64 array entry.
+# Peak memory of either array, at most 1 byte per integer plus 8 per prime:
+# the uint16 spf array, or the bool sieve plus each prime's int64 entry.
 # pi(x) < 1.26 x / ln x for x > 1 (Rosser and Schoenfeld, 1962).
 _BYTES_PER_INTEGER = 1
 _BYTES_PER_PRIME = 8
-# Entries per slice when the primes are read off the spf array.
-_SLICE = 2**16
 
 # cgroup v2, then v1, memory limit of the process's container; v1 reads
 # 9223372036854771712 when no limit is set, v2 reads "max".
@@ -48,9 +44,9 @@ _CGROUP_LIMIT_FILES = (
 class PrimeTable:
     """All primes up to ``limit`` and the smallest prime factor of every
     odd integer up to it, with prime counting.  Immutable; equality is by
-    limit.
+    limit.  Each array is sieved when first read and then kept.
 
-    ``primes`` is the sieve's int64 array, ascending, 8 bytes per prime.
+    ``primes`` is an int64 array, ascending, 8 bytes per prime.
     ``spf`` is a uint16 array of (limit + 1) // 2 entries, 1 byte per
     integer: spf[i] is the smallest prime factor of m = 2i + 1 when m is
     composite, and 0 when m is prime or 1.  Readers strip the power of two
@@ -58,8 +54,25 @@ class PrimeTable:
     """
 
     limit: int
-    primes: np.ndarray = field(repr=False, compare=False)
-    spf: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def primes(self) -> np.ndarray:
+        """A bytewise sieve of the odd integers, in which each odd p up to
+        sqrt(limit) that is still unmarked marks its odd multiples from
+        p*p, read off with 2 in place of 1."""
+        sieve = np.ones((self.limit + 1) // 2, dtype=bool)  # entry i: 2i + 1
+        for p in range(3, isqrt(self.limit) + 1, 2):
+            if sieve[p >> 1]:
+                sieve[p * p >> 1 :: p] = False
+        primes = np.flatnonzero(sieve)
+        primes *= 2
+        primes += 1
+        primes[0] = 2
+        return primes
+
+    @cached_property
+    def spf(self) -> np.ndarray:
+        return _build_spf(self.limit)
 
     def pi(self, x: int) -> int:
         """Number of primes <= x.  Requires x <= limit."""
@@ -70,13 +83,13 @@ class PrimeTable:
 
 def check_spf_limit(limit: int) -> None:
     """Raise CapacityError when a table up to limit would not fit the uint16
-    spf entries, or when its estimated peak memory exceeds the memory budget,
-    the smaller of physical memory and the cgroup limit; cheap, so callers
-    run it first.  The estimate is 1 byte per integer and 8 per prime,
-    with the pi bound above: 1.65, 9.42 and 30.51 MiB at limits 10**6,
-    6*10**6 and 2*10**7, where tracemalloc measures 1.74, 9.06 and
-    28.96 MiB (1.198, 1.033 and 1.010 bytes per integer net of the primes;
-    the rest is a fixed ~0.2 MiB for one slice of the prime read-off)."""
+    spf entries, or when the estimated peak memory of either of its arrays
+    exceeds the memory budget, the smaller of physical memory and the
+    cgroup limit; cheap, so callers run it first.  The estimate is 1 byte
+    per integer and 8 per prime, with the pi bound above: 1.65, 9.42 and
+    30.51 MiB at limits 10**6, 6*10**6 and 2*10**7, where tracemalloc
+    measures 0.96, 5.74 and 19.1 MiB for the spf array and 1.08, 6.01 and
+    19.2 MiB for the primes."""
     if limit > _SPF_LIMIT_MAX:
         raise CapacityError(f"spf table limited to {_SPF_LIMIT_MAX}, {limit} requested")
     prime_bound = 1.26 * limit / log(max(limit, 2))
@@ -113,43 +126,24 @@ def _cgroup_memory_limit() -> int | None:
 
 
 def build_prime_table(limit: int) -> PrimeTable:
-    """Sieve all primes <= limit (2 <= limit <= 2**32 - 1) together with the
-    smallest prime factor of every odd integer up to limit.  Costs about 1
-    byte per integer plus 8 bytes per prime, while sieving and afterwards
-    (0.04 s and 9 MiB at 6*10**6).  Output is deterministic."""
+    """The table up to limit (2 <= limit <= 2**32 - 1), capacity checked; an
+    array is sieved when first read, at most 1 byte per integer plus 8 bytes
+    per prime (0.03 s and 6 MiB for either at 6*10**6).  Output is
+    deterministic."""
     if limit < 2:
         raise ValueError("limit must be >= 2")
     check_spf_limit(limit)
-    spf, primes = _build_spf(limit)
-    return PrimeTable(limit, primes, spf)
+    return PrimeTable(limit)
 
 
-def _build_spf(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """The odd-only spf array for [1, limit] and the primes up to limit as an
-    array.  A bytewise sieve to sqrt(limit) finds the odd primes that mark
-    composites; each marks its odd multiples from p*p, the largest prime
-    first, so the smallest prime factor is the one written last."""
+def _build_spf(limit: int) -> np.ndarray:
+    """The odd-only spf array for [1, limit]: the odd primes of a table to
+    sqrt(limit), the largest first, each mark their odd multiples from p*p,
+    so the smallest prime factor is the one written last."""
     spf = np.zeros((limit + 1) // 2, dtype=np.uint16)
-    root = isqrt(limit)
-    odd_prime = np.ones((root + 1) // 2, dtype=bool)  # entry i: 2i + 1 <= root
-    for p in range(3, isqrt(root) + 1, 2):
-        if odd_prime[p >> 1]:
-            odd_prime[p * p >> 1 :: p] = False
-    for p in (2 * np.flatnonzero(odd_prime[1:]) + 3)[::-1].tolist():
+    for p in PrimeTable(isqrt(limit)).primes[:0:-1].tolist():  # 2 is at [0]
         spf[p * p >> 1 :: p] = p
-    # the unmarked entries, 1 and the odd primes, are counted and then
-    # listed a slice at a time, so no mask spans the table
-    starts = range(0, len(spf), _SLICE)
-    counts = [np.count_nonzero(spf[at : at + _SLICE] == 0) for at in starts]
-    primes = np.empty(sum(counts), dtype=np.int64)
-    end = 0
-    for at, count in zip(starts, counts):
-        primes[end : end + count] = np.flatnonzero(spf[at : at + _SLICE] == 0) + at
-        end += count
-    primes *= 2
-    primes += 1
-    primes[0] = 2  # in place of 1
-    return spf, primes
+    return spf
 
 
 def is_prime(n: int) -> bool:

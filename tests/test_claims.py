@@ -11,6 +11,7 @@ import oracles
 from catsigma import (
     FAMILY_MODULI,
     SMALL_INDEX_EXCEPTIONS,
+    CapacityError,
     InconclusiveError,
     analyze_coprimality,
     catalan_factorization,
@@ -193,7 +194,7 @@ def test_k_sweeps_stop_at_the_tenth_witness(monkeypatch):
     # block after the one that yields the tenth (or, per b, the first)
     blocks = []
 
-    def ones(values, z, spf, limit):
+    def ones(values, z, table):
         blocks.append(values.tolist())
         return np.ones(len(values), dtype=np.int64)
 
@@ -339,6 +340,16 @@ def test_range_validation():
         verify_erdos_interval(0)
     with pytest.raises(ValueError):
         verify_mersenne_parity(-1)
+
+
+def test_mersenne_parity_capped_below_int64_index_bound(monkeypatch):
+    # the passes form 2n in int64: 2**62 - 1 is the last n_max accepted (it
+    # stops at its tenth witness here), and 2**62 is refused before any pass
+    monkeypatch.setattr(claims, "_valuation_block", lambda ns, p: np.zeros(len(ns), dtype=np.int64))
+    assert len(verify_mersenne_parity(2**62 - 1).counterexamples) == 10
+    monkeypatch.setattr(claims, "_valuation_block", lambda ns, p: pytest.fail("swept past the bound"))
+    with pytest.raises(CapacityError, match="capped below index"):
+        verify_mersenne_parity(2**62)
 
 
 @pytest.mark.parametrize(

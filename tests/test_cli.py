@@ -15,8 +15,10 @@ from catsigma import (
     CATALAN_EXACT_CEILING,
     __version__,
     build_prime_table,
+    catalan,
     catalan_factorization,
     claims,
+    cli,
     primes,
     sigma_exact,
 )
@@ -123,8 +125,9 @@ def test_spf_capacity_checked_before_sieving(capsys, monkeypatch):
     def refuse(limit):
         pytest.fail(f"sieved to {limit} before the capacity check")
 
-    # every table build refuses before allocating its spf array
+    # every table build refuses before allocating either array
     monkeypatch.setattr(primes, "_build_spf", refuse)
+    monkeypatch.setattr(primes.PrimeTable, "primes", property(lambda table: refuse(table.limit)))
     for argv, message in (
         (("verify", "lemma-six", "--k-max", str(10**9)), "spf table limited"),
         (("verify", "family", "--z", "5", "--k-max", str(10**9)), "spf table limited"),
@@ -146,6 +149,7 @@ def test_memory_checked_before_sieving(capsys, monkeypatch):
     monkeypatch.setattr(primes, "_physical_memory", lambda: 16 * 2**20)
     assert invoke(capsys, "factor-catalan", "7")[0] == 0  # a small table still fits
     monkeypatch.setattr(primes, "_build_spf", refuse)
+    monkeypatch.setattr(primes.PrimeTable, "primes", property(lambda table: refuse(table.limit)))
     for argv in (
         ("factor-catalan", "10000000"),
         ("sigma-catalan", "10000000", "--mod", "6"),
@@ -157,6 +161,44 @@ def test_memory_checked_before_sieving(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert "physical memory" in err
+
+
+def test_mersenne_index_bound_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(claims, "_valuation_block", lambda ns, p: pytest.fail("swept past the bound"))
+    code, out, err = invoke(capsys, "verify", "mersenne", "--n-max", str(2**62))
+    assert (code, out) == (2, "")
+    assert "capped below index" in err
+
+
+# each production route reads one of a table's two arrays, so it sieves
+# only that one: the sigma(z*k - 1) sweeps the spf array, the rest the primes
+ONE_ARRAY_ROUTES = [
+    (("verify", "lemma-six", "--k-max", "3000"), "spf"),
+    (("verify", "family", "--z", "5", "--k-max", "3000"), "spf"),
+    (("verify", "conjecture", "--b-max", "40", "--k-max", "200"), "spf"),
+    (("verify", "theorem1", "--n-min", "0", "--n-max", "300"), "primes"),
+    (("verify", "sigma-catalan", "--n-min", "0", "--n-max", "300"), "primes"),
+    (("verify", "erdos", "--n-max", "300"), "primes"),
+    (("factor-catalan", "183"), "primes"),
+    (("sigma-catalan", "183"), "primes"),
+    (("sigma-catalan", "183", "--mod", "6"), "primes"),
+    (("omega", "--range", "100:2000:100"), "primes"),
+    (("digits", "1023"), "primes"),
+]
+
+
+@pytest.mark.parametrize("argv,array", ONE_ARRAY_ROUTES, ids=[" ".join(a) for a, _ in ONE_ARRAY_ROUTES])
+def test_each_route_reads_one_array(capsys, monkeypatch, argv, array):
+    tables = []
+
+    def recording(limit):
+        tables.append(primes.build_prime_table(limit))
+        return tables[-1]
+
+    for module in (claims, cli, catalan):
+        monkeypatch.setattr(module, "build_prime_table", recording)
+    assert invoke(capsys, *argv)[0] in (0, 1)
+    assert tables and [sorted(vars(t)) for t in tables] == [sorted(("limit", array))] * len(tables)
 
 
 VERIFIERS = {
@@ -300,6 +342,10 @@ GOLDEN_REPORTS = [
     # windows that start inside a gap of primes congruent to 5 mod 6
     ("verify theorem1 --n-min 4 --n-max 9", 1, "e9116b70230aeb4419b646fef92aaeeffcf3e42c701d2cdf7fceffc45dc71a6e"),
     ("verify sigma-catalan --n-min 5 --n-max 6", 0, "b6640ec0d64748ac2a243a6965049e0bcc7bef82424bd8939f5356c40f1b3aef"),
+    ("verify lemma-six --k-max 100000", 0, "d4c1bf7869a6b71724b7f1b10ab769548bb43e4be724743db86a435da831bbfc"),
+    ("sigma-catalan 3000", 0, "f653c7d0a4b98a9eb4e1615eb7f647c6119a681b7357c6a5ce794e713d3e8219"),
+    ("sigma-catalan 150000 --mod 6", 0, "bd2780dabe1763282c55126484b0eebb3e38d667362900351fa2c2cd7b41a33c"),
+    ("digits 150000", 0, "ef0066abb56b29a444eff9d1ae2912f9bdc7471baf8005cf8f7bd491f22d5e99"),
 ]
 
 

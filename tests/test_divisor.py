@@ -43,18 +43,17 @@ def test_sigma_mod_block_matches_scalar_path(table_100k, z, k_lo, count):
     ks = np.arange(k_lo, k_lo + count, dtype=np.int64)
     values = z * ks - 1
     expected = [1 % z if v == 1 else sigma_mod(factor_u64(int(v), table_100k), z) for v in values]
-    assert sigma_mod_block(values, z, table_100k.spf).tolist() == expected
+    assert sigma_mod_block(values, z, table_100k).tolist() == expected
 
 
 def test_sigma_mod_block_validation(table_10k):
-    spf = table_10k.spf
-    assert sigma_mod_block(np.array([], dtype=np.int64), 6, spf).tolist() == []
+    assert sigma_mod_block(np.array([], dtype=np.int64), 6, table_10k).tolist() == []
     with pytest.raises(ValueError):
-        sigma_mod_block(np.array([5]), 1, spf)
+        sigma_mod_block(np.array([5]), 1, table_10k)
     with pytest.raises(ValueError):
-        sigma_mod_block(np.array([0, 5]), 6, spf)
+        sigma_mod_block(np.array([0, 5]), 6, table_10k)
     with pytest.raises(ValueError):
-        sigma_mod_block(np.array([10_001]), 6, spf)
+        sigma_mod_block(np.array([10_001]), 6, table_10k)
 
 
 def test_sigma_mod_block_edges():
@@ -63,19 +62,15 @@ def test_sigma_mod_block_edges():
     for limit in (10_000, 10_007):
         table = build_prime_table(limit)
         powers = [2**a for a in range(limit.bit_length())]
-        assert sigma_mod_block(np.array(powers), 2**62, table.spf, limit).tolist() == [2 * v - 1 for v in powers]
+        assert sigma_mod_block(np.array(powers), 2**62, table).tolist() == [2 * v - 1 for v in powers]
         top = np.array([limit - 1, limit])
-        assert sigma_mod_block(top, 2**62, table.spf, limit).tolist() == [oracles.sigma_by_scan(v) for v in top]
+        assert sigma_mod_block(top, 2**62, table).tolist() == [oracles.sigma_by_scan(v) for v in top]
         with pytest.raises(ValueError, match=rf"\[1, {limit}\]"):
-            sigma_mod_block(np.array([limit + 1]), 6, table.spf, limit)
-    # without a limit, the most a table of len(spf) entries covers
-    assert sigma_mod_block(np.array([10_008]), 2**62, table.spf).tolist() == [oracles.sigma_by_scan(10_008)]
-    with pytest.raises(ValueError):
-        sigma_mod_block(np.array([10_009]), 6, table.spf)
+            sigma_mod_block(np.array([limit + 1]), 6, table)
 
 
-def _exact_sigma_blocks(values, spf, block=2**16):
-    return np.concatenate([sigma_mod_block(values[at : at + block], 2**62, spf) for at in range(0, len(values), block)])
+def _exact_sigma_blocks(values, table, block=2**16):
+    return np.concatenate([sigma_mod_block(values[at : at + block], 2**62, table) for at in range(0, len(values), block)])
 
 
 def test_sigma_mod_block_whole_ranges_against_pair_sieve(table_6m):
@@ -83,9 +78,9 @@ def test_sigma_mod_block_whole_ranges_against_pair_sieve(table_6m):
     # and for every 6k - 1 with k <= 10**6, lemma-six's acceptance range,
     # against a divisor-pair sieve that shares no code with the spf table
     values = np.arange(1, 10**6 + 1, dtype=np.int64)
-    assert (_exact_sigma_blocks(values, table_6m.spf) == oracles.sigma_by_pair_sieve(10**6)[1:]).all()
+    assert (_exact_sigma_blocks(values, table_6m) == oracles.sigma_by_pair_sieve(10**6)[1:]).all()
     values = 6 * np.arange(1, 10**6 + 1, dtype=np.int64) - 1
-    assert (_exact_sigma_blocks(values, table_6m.spf) == oracles.sigma_by_pair_sieve(6 * 10**6 - 1, 6, 5)).all()
+    assert (_exact_sigma_blocks(values, table_6m) == oracles.sigma_by_pair_sieve(6 * 10**6 - 1, 6, 5)).all()
 
 
 @pytest.mark.parametrize(

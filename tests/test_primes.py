@@ -30,10 +30,12 @@ def test_build_is_deterministic():
 
 
 def test_primes_are_spf_fixed_points():
-    # the prime array and the odd-only spf array come from one sieve: its
-    # zero entries are 1 and the odd primes, every other entry is a listed
-    # prime that divides its odd m, with p * p <= m
-    for limit in (2, 3, 4, 1_300_000):
+    # the prime array and the odd-only spf array come from two sieves, so
+    # each checks the other: the spf array's zero entries are 1 and exactly
+    # the listed odd primes, every other entry is a listed prime that
+    # divides its odd m, with p * p <= m; the limits p*p and p*p - 1 sit on
+    # either side of the first m that p marks
+    for limit in (2, 3, 4, 8, 9, 25, 120, 121, 1_300_000):
         table = build_prime_table(limit)
         assert table.spf.dtype == np.uint16 and len(table.spf) == (limit + 1) // 2
         assert table.primes.dtype == np.int64 and table.primes.ndim == 1
