@@ -36,7 +36,7 @@ from .claims import (
     verify_sigma_catalan,
     verify_theorem_6kminus1,
 )
-from .divisor import sigma_exact, sigma_mod, sigma_mod_block
+from .divisor import sigma_block, sigma_exact, sigma_mod
 from .errors import CapacityError, InconclusiveError, InconsistencyError
 from .factorint import Factorization, binary_digit_sum, factor_u64, legendre_valuation
 from .primes import PrimeTable, build_prime_table, is_prime
@@ -71,9 +71,9 @@ __all__ = [
     "verify_mersenne_parity",
     "verify_sigma_catalan",
     "verify_theorem_6kminus1",
+    "sigma_block",
     "sigma_exact",
     "sigma_mod",
-    "sigma_mod_block",
     "CapacityError",
     "InconclusiveError",
     "InconsistencyError",

@@ -18,8 +18,8 @@ from .factorint import Factorization, legendre_valuation
 from .primes import PrimeTable, build_prime_table, is_prime
 
 # Largest index accepted for exact big-integer evaluation; catalan_exact(10**6)
-# has about 602,000 digits, multiplied out of its factorization in 3.3-4.5 s
-# on a 2-vCPU Xeon (0.1 s at 1.5*10**5; the cost grows about quadratically).
+# has about 602,000 digits, multiplied out of its factorization in 4.6-6.6 s
+# on a 2-vCPU Xeon (0.15 s at 1.5*10**5; the cost grows about quadratically).
 CATALAN_EXACT_CEILING = 1_000_000
 
 # _valuation_block works in int64 and forms 2n, so indices stay below 2**62.
@@ -32,7 +32,7 @@ _LN_PI = log(pi)
 
 def catalan_exact(n: int) -> int:
     """The nth Catalan number as an exact integer: its factorization over a
-    table to 2n, multiplied out (0.1 s at 1.5*10**5, 3.3-4.5 s at 10**6)."""
+    table to 2n, multiplied out (0.15 s at 1.5*10**5, 4.6-6.6 s at 10**6)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     if n > CATALAN_EXACT_CEILING:
@@ -43,8 +43,9 @@ def catalan_exact(n: int) -> int:
 def _valuation_block(ns, ps) -> np.ndarray:
     """v_p(C_n) elementwise for int64 arrays (or scalars) of indices
     0 <= n < 2**62 and primes p, broadcast together into an array of at
-    least one dimension: the Legendre sum of
-    2n // p**k - (n + 1) // p**k - n // p**k over k >= 1, with
+    least one dimension, whose shape an array p must already have (a
+    scalar n with a slice of primes, or equal-length arrays): the Legendre
+    sum of 2n // p**k - (n + 1) // p**k - n // p**k over k >= 1, with
     x // p**(k+1) taken as (x // p**k) // p, so no power of p is formed and
     no value grows.  The k = 1 term covers every entry; only the entries
     with p * p <= 2n go on to the higher powers, one in-place numpy step per
@@ -59,8 +60,8 @@ def _valuation_block(ns, ps) -> np.ndarray:
     v = t - m - n
     deep = t >= p
     if p.ndim:
-        p = np.broadcast_to(p, deep.shape)[deep]
-    t, m, n = t[deep], np.broadcast_to(m, deep.shape)[deep], np.broadcast_to(n, deep.shape)[deep]
+        p = p[deep]
+    t, m, n = t[deep], m[deep], n[deep]
     higher = np.zeros(t.shape, dtype=np.int64)
     while (t >= p).any():
         t //= p
@@ -164,7 +165,7 @@ def _decimal_digits(x: int) -> int:
 def digit_count(n: int) -> int:
     """Number of base-10 digits of the nth Catalan number.
 
-    Exact (counted on catalan_exact's integer, about 4 s at the ceiling) up
+    Exact (counted on catalan_exact's integer, 4.6-6.6 s at the ceiling) up
     to CATALAN_EXACT_CEILING; beyond that the asymptotic estimate is used,
     and the call fails with CapacityError if the estimate lands too close
     to a power of ten to resolve the count."""

@@ -7,12 +7,12 @@ conjecture search keeps only the first failing k of each modulus.  Every
 sweep but two takes its blocks from _blocks, 16 entries doubling up to
 4096, and runs a block only when the caller asks for more witnesses than
 the earlier blocks gave.  The sigma(z*k - 1) sweeps (lemma six, the family,
-the conjecture search) compute a block of remainders with one
-sigma_mod_block call and factor only the values they report.  erdos and
-mersenne are numpy passes built on catalan._valuation_block; erdos blocks
-its (n, p) pairs.  theorem1 and sigma-catalan are the other two: they
-factor only the indices that _uncovered lists from one scan of the gaps
-between primes congruent to 5 mod 6, so their witnesses come from the full
+the conjecture search) reduce one exact sigma_block call per block mod z
+and factor only the values they report.  erdos and mersenne are numpy
+passes built on catalan._valuation_block; erdos blocks its (n, p) pairs.
+theorem1 and sigma-catalan are the other two: _gap_sweep factors only the
+indices that _uncovered lists from one scan of the gaps between primes
+congruent to 5 mod 6, so their witnesses come from the full
 factorization.  Witness records are plain dicts so they serialize as-is.
 """
 
@@ -26,7 +26,7 @@ from time import perf_counter
 import numpy as np
 
 from .catalan import _INT64_INDEX_BOUND, _valuation_block, catalan_factorization, catalan_v2
-from .divisor import sigma_exact, sigma_mod, sigma_mod_block
+from .divisor import sigma_block, sigma_exact, sigma_mod
 from .errors import CapacityError, InconclusiveError
 from .factorint import binary_digit_sum, factor_u64
 from .primes import PrimeTable, build_prime_table
@@ -105,9 +105,9 @@ def _blocks(lo: int, hi: int):
 def _sigma_failures(z: int, k_max: int, table: PrimeTable):
     """(k, remainder) for each k in [1, k_max] with z not dividing
     sigma(z*k - 1), in ascending k.  Each block of k from _blocks is one
-    sigma_mod_block call."""
+    sigma_block call, reduced mod z here."""
     for ks in _blocks(1, k_max):
-        remainders = sigma_mod_block(z * ks - 1, z, table)
+        remainders = sigma_block(z * ks - 1, table) % z
         bad = np.flatnonzero(remainders)[:_MAX_WITNESSES]  # no caller asks for more
         hits = zip(ks[bad].tolist(), remainders[bad].tolist())
         # freed before the caller resumes, so one block is held at a time
@@ -116,10 +116,9 @@ def _sigma_failures(z: int, k_max: int, table: PrimeTable):
 
 
 def _sigma_witness(k: int, z: int, remainder: int, table: PrimeTable) -> dict:
-    """Witness record for a k with z not dividing sigma(z*k - 1); sigma(1) == 1."""
+    """Witness record for a k with z not dividing sigma(z*k - 1)."""
     n = z * k - 1
-    sigma = 1 if n == 1 else sigma_exact(factor_u64(n, table))
-    return {"k": k, "value": n, "sigma": sigma, "remainder": remainder}
+    return {"k": k, "value": n, "sigma": sigma_exact(factor_u64(n, table)), "remainder": remainder}
 
 
 def verify_lemma_six(k_max: int) -> VerificationOutcome:
@@ -210,40 +209,40 @@ def _uncovered(n_min: int, n_max: int, primes: np.ndarray):
     yield from range(max(q - 1, n_min), n_max + 1)
 
 
-def verify_theorem_6kminus1(n_min: int, n_max: int) -> VerificationOutcome:
-    """Check that each Catalan number in the index range has at least one
-    prime factor congruent to 5 mod 6; witnesses list the indices without.
-    Only the indices _uncovered lists are factored."""
+def _gap_sweep(claim_id: str, n_min: int, n_max: int, witness) -> VerificationOutcome:
+    """The theorem1 or sigma-catalan sweep of [n_min, n_max]: each n that
+    _uncovered lists is factored over a table to 2 * n_max, and
+    witness(n, factors) gives its record, or None where the claim holds."""
     started = perf_counter()
     if n_min < 0 or n_max < n_min:
         raise ValueError("need 0 <= n_min <= n_max")
     table = build_prime_table(max(2 * n_max, 2))
+    records = (witness(n, catalan_factorization(n, table)) for n in _uncovered(n_min, n_max, table.primes))
+    return _outcome(claim_id, (n_min, n_max), filter(None, records), started)
 
-    def witnesses():
-        for n in _uncovered(n_min, n_max, table.primes):
-            factors = catalan_factorization(n, table)
-            if not any(p % 6 == 5 for p, _ in factors):
-                yield {"n": n, "primes": list(factors.prime_factors())}
 
-    return _outcome("theorem1", (n_min, n_max), witnesses(), started)
+def verify_theorem_6kminus1(n_min: int, n_max: int) -> VerificationOutcome:
+    """Check that each Catalan number in the index range has at least one
+    prime factor congruent to 5 mod 6; witnesses list the indices without.
+    Only the indices _uncovered lists are factored."""
+
+    def witness(n, factors):
+        covered = any(p % 6 == 5 for p, _ in factors)
+        return None if covered else {"n": n, "primes": list(factors.prime_factors())}
+
+    return _gap_sweep("theorem1", n_min, n_max, witness)
 
 
 def verify_sigma_catalan(n_min: int, n_max: int) -> VerificationOutcome:
     """Check 6 | sigma(catalan(n)) over the index range, working modulo 6
     on the factorization (the exact sigma value is never formed).  Only the
     indices _uncovered lists are factored."""
-    started = perf_counter()
-    if n_min < 0 or n_max < n_min:
-        raise ValueError("need 0 <= n_min <= n_max")
-    table = build_prime_table(max(2 * n_max, 2))
 
-    def witnesses():
-        for n in _uncovered(n_min, n_max, table.primes):
-            r = sigma_mod(catalan_factorization(n, table), 6)
-            if r:
-                yield {"n": n, "remainder": r}
+    def witness(n, factors):
+        r = sigma_mod(factors, 6)
+        return {"n": n, "remainder": r} if r else None
 
-    return _outcome("sigma-catalan", (n_min, n_max), witnesses(), started)
+    return _gap_sweep("sigma-catalan", n_min, n_max, witness)
 
 
 def _erdos_pairs(n_max: int, primes: np.ndarray):

@@ -1,5 +1,5 @@
-"""Sum-of-divisors arithmetic on factorizations, exact and modular, and the
-block kernel behind the sigma(z*k - 1) sweeps."""
+"""Sum-of-divisors arithmetic: exact and modular sigma of a factorization,
+and the exact block kernel behind the sigma(z*k - 1) sweeps."""
 
 from __future__ import annotations
 
@@ -18,28 +18,20 @@ def sigma_exact(f: Factorization) -> int:
 
 
 def sigma_mod(f: Factorization, m: int) -> int:
-    """sigma(f.value) mod m.
-
-    Each prime-power term is a geometric sum evaluated by repeated modular
-    addition, so m never needs to be coprime to anything.
-    """
+    """sigma(f.value) mod m: sigma_exact's prime-power terms, each formed
+    exactly and reduced mod m as it is multiplied in."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    total = 1 % m
+    total = 1
     for p, e in f:
-        term = 1 % m
-        power = 1
-        for _ in range(e):
-            power = power * p % m
-            term = (term + power) % m
-        total = total * term % m
+        total = total * ((p ** (e + 1) - 1) // (p - 1)) % m
     return total
 
 
-def sigma_mod_block(values: np.ndarray, z: int, table: PrimeTable) -> np.ndarray:
-    """sigma(v) mod z for every entry v of values, as an int64 array.
+def sigma_block(values: np.ndarray, table: PrimeTable) -> np.ndarray:
+    """sigma(v) for every entry v of values, as an int64 array.
 
-    The array form of factor_u64 plus sigma_mod over the table's odd-only
+    The array form of factor_u64 plus sigma_exact over the table's odd-only
     spf array, which must cover every value: 1 <= v <= table.limit
     (sigma(1) == 1); any other value raises ValueError.
     The power of two, low = v & -v, comes off first, with sigma term
@@ -53,10 +45,8 @@ def sigma_mod_block(values: np.ndarray, z: int, table: PrimeTable) -> np.ndarray
     over just the entries that p**2 divides.  Prime-power terms and their
     product are kept exact: each is a divisor-sum of a divisor of v, so no
     intermediate exceeds sigma(v) < 2**36 for v < 2**32 and int64 cannot
-    wrap.  Only the finished sigma is reduced mod z.
+    wrap.
     """
-    if z < 2:
-        raise ValueError("modulus must be >= 2")
     values = np.asarray(values, dtype=np.int64)
     if values.size and (values.min() < 1 or values.max() > table.limit):
         raise ValueError(f"values must lie in [1, {table.limit}]")
@@ -88,4 +78,4 @@ def sigma_mod_block(values: np.ndarray, z: int, table: PrimeTable) -> np.ndarray
         sigma[live] = closed * (rest + (rest > 1))
         left = nxt.nonzero()[0]
         live, rest, closed, p = live[left], rest[left], closed[left], nxt[left].astype(np.int64)
-    return sigma % z
+    return sigma

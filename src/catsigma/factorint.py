@@ -33,7 +33,7 @@ class Factorization:
 
     @property
     def value(self) -> int:
-        """Reconstructed integer, one prime power at a time (about 4 s for C_1000000)."""
+        """Reconstructed integer, one prime power at a time (4.6-6.6 s for C_1000000)."""
         out = 1
         for p, e in self.entries:
             out *= p**e
@@ -73,10 +73,11 @@ def factor_u64(n: int, table: PrimeTable) -> Factorization:
     the power of two comes off first, then each odd prime from
     spf[n >> 1], or n itself where that entry is 0 (n is prime).
 
-    The domain is [2, table.limit]; any other n raises ValueError.
+    The domain is [1, table.limit], where 1 has no factors; any other n
+    raises ValueError.
     """
-    if not 2 <= n <= table.limit:
-        raise ValueError(f"{n} outside [2, {table.limit}]")
+    if not 1 <= n <= table.limit:
+        raise ValueError(f"{n} outside [1, {table.limit}]")
     twos = (n & -n).bit_length() - 1
     entries = [(2, twos)] if twos else []
     n >>= twos

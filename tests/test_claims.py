@@ -190,15 +190,16 @@ def test_index_sweep_stops_at_the_tenth_witness(table_10k, monkeypatch):
 
 
 def test_k_sweeps_stop_at_the_tenth_witness(monkeypatch):
-    # with every remainder 1, each k is a witness; the sweep evaluates no
-    # block after the one that yields the tenth (or, per b, the first)
+    # with every sigma 1, hence every remainder 1, each k is a witness; the
+    # sweep evaluates no block after the one that yields the tenth (or, per
+    # b, the first)
     blocks = []
 
-    def ones(values, z, table):
+    def ones(values, table):
         blocks.append(values.tolist())
         return np.ones(len(values), dtype=np.int64)
 
-    monkeypatch.setattr(claims, "sigma_mod_block", ones)
+    monkeypatch.setattr(claims, "sigma_block", ones)
     outcome = verify_family(5, 10_000)
     assert [w["k"] for w in outcome.counterexamples] == list(range(1, 11))
     assert blocks == [[5 * k - 1 for k in range(1, 17)]]

@@ -346,6 +346,9 @@ GOLDEN_REPORTS = [
     ("sigma-catalan 3000", 0, "f653c7d0a4b98a9eb4e1615eb7f647c6119a681b7357c6a5ce794e713d3e8219"),
     ("sigma-catalan 150000 --mod 6", 0, "bd2780dabe1763282c55126484b0eebb3e38d667362900351fa2c2cd7b41a33c"),
     ("digits 150000", 0, "ef0066abb56b29a444eff9d1ae2912f9bdc7471baf8005cf8f7bd491f22d5e99"),
+    # sigma terms reduced by a modulus other than 6, and a failing k-sweep
+    ("sigma-catalan 150000 --mod 1000000007", 0, "1fc2f945e3dc31be63ff7cfbc0097843b27b581f00b6e87b6f54b48c67478316"),
+    ("verify family --z 7 --k-max 200000", 1, "0f93480f39f4f23474d059c7d0ae10eddce4fce36541f9dc17bda1a16fa35473"),
 ]
 
 

@@ -1,4 +1,4 @@
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catsigma import FAMILY_MODULI, Factorization, build_prime_table, factor_u64, sigma_exact, sigma_mod, sigma_mod_block
+from catsigma import FAMILY_MODULI, Factorization, build_prime_table, factor_u64, sigma_block, sigma_exact, sigma_mod
 
 
 @pytest.mark.parametrize(
@@ -39,44 +39,42 @@ def test_sigma_exact_on_spf_factors_past_32_bits(table_6m, n):
 @settings(max_examples=80, deadline=None)
 @given(z=st.integers(2, 60), k_lo=st.integers(1, 1_500), count=st.integers(1, 160))
 @example(z=2, k_lo=1, count=1)  # the value 1
-def test_sigma_mod_block_matches_scalar_path(table_100k, z, k_lo, count):
+def test_sigma_block_matches_scalar_path(table_100k, z, k_lo, count):
     ks = np.arange(k_lo, k_lo + count, dtype=np.int64)
     values = z * ks - 1
-    expected = [1 % z if v == 1 else sigma_mod(factor_u64(int(v), table_100k), z) for v in values]
-    assert sigma_mod_block(values, z, table_100k).tolist() == expected
+    expected = [sigma_exact(factor_u64(int(v), table_100k)) for v in values]
+    assert sigma_block(values, table_100k).tolist() == expected
 
 
-def test_sigma_mod_block_validation(table_10k):
-    assert sigma_mod_block(np.array([], dtype=np.int64), 6, table_10k).tolist() == []
+def test_sigma_block_validation(table_10k):
+    assert sigma_block(np.array([], dtype=np.int64), table_10k).tolist() == []
     with pytest.raises(ValueError):
-        sigma_mod_block(np.array([5]), 1, table_10k)
+        sigma_block(np.array([0, 5]), table_10k)
     with pytest.raises(ValueError):
-        sigma_mod_block(np.array([0, 5]), 6, table_10k)
-    with pytest.raises(ValueError):
-        sigma_mod_block(np.array([10_001]), 6, table_10k)
+        sigma_block(np.array([10_001]), table_10k)
 
 
-def test_sigma_mod_block_edges():
+def test_sigma_block_edges():
     # sigma(2**a) = 2**(a + 1) - 1; values up to the table's own limit,
     # even or odd, are accepted, and one past it is refused
     for limit in (10_000, 10_007):
         table = build_prime_table(limit)
         powers = [2**a for a in range(limit.bit_length())]
-        assert sigma_mod_block(np.array(powers), 2**62, table).tolist() == [2 * v - 1 for v in powers]
+        assert sigma_block(np.array(powers), table).tolist() == [2 * v - 1 for v in powers]
         top = np.array([limit - 1, limit])
-        assert sigma_mod_block(top, 2**62, table).tolist() == [oracles.sigma_by_scan(v) for v in top]
+        assert sigma_block(top, table).tolist() == [oracles.sigma_by_scan(v) for v in top]
         with pytest.raises(ValueError, match=rf"\[1, {limit}\]"):
-            sigma_mod_block(np.array([limit + 1]), 6, table)
+            sigma_block(np.array([limit + 1]), table)
 
 
 def _exact_sigma_blocks(values, table, block=2**16):
-    return np.concatenate([sigma_mod_block(values[at : at + block], 2**62, table) for at in range(0, len(values), block)])
+    return np.concatenate([sigma_block(values[at : at + block], table) for at in range(0, len(values), block)])
 
 
-def test_sigma_mod_block_whole_ranges_against_pair_sieve(table_6m):
-    # exact sigma (modulus 2**62, above every sigma here) for every v <= 10**6
-    # and for every 6k - 1 with k <= 10**6, lemma-six's acceptance range,
-    # against a divisor-pair sieve that shares no code with the spf table
+def test_sigma_block_whole_ranges_against_pair_sieve(table_6m):
+    # exact sigma for every v <= 10**6 and for every 6k - 1 with k <= 10**6,
+    # lemma-six's acceptance range, against a divisor-pair sieve that shares
+    # no code with the spf table
     values = np.arange(1, 10**6 + 1, dtype=np.int64)
     assert (_exact_sigma_blocks(values, table_6m) == oracles.sigma_by_pair_sieve(10**6)[1:]).all()
     values = 6 * np.arange(1, 10**6 + 1, dtype=np.int64) - 1
@@ -101,11 +99,22 @@ def test_sigma_mod_rejects_small_modulus():
         sigma_mod(Factorization(((2, 1),)), 1)
 
 
-@pytest.mark.parametrize("m", [2, 3, 5, 6, 7, 12])
+# factorizations whose terms p**(e + 1) run far past 64 bits
+_LARGE_EXPONENTS = [
+    Factorization(((2, 200), (3, 50))),
+    Factorization(((2, 63), (3, 40), (5, 27), (7, 22), (999_983, 5))),
+    Factorization(((2_305_843_009_213_693_951, 3),)),
+]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 6, 7, 12, 2**61 - 1, 10**30])
 def test_sigma_mod_agrees_with_exact(table_100k, m):
-    for n in range(2, 2_001):
+    for n in range(1, 2_001):
         f = factor_u64(n, table_100k)
         assert sigma_mod(f, m) == sigma_exact(f) % m
+    for f in _LARGE_EXPONENTS:
+        # each term summed power by power, not by the closed form
+        assert sigma_mod(f, m) == prod(sum(p**i for i in range(e + 1)) for p, e in f) % m
 
 
 def test_pair_sums_total_sigma_up_to_1e5(table_100k):

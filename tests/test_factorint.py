@@ -79,10 +79,12 @@ def test_factor_examples(table_10k, n, expected):
 
 
 def test_factor_rejects_out_of_range(table_10k):
-    # the domain is [2, table.limit]; no route factors past the table
-    for n in (1, 0, 10_001, 2**64):
+    # the domain is [1, table.limit], 1 with no factors; no route factors
+    # past the table
+    for n in (0, 10_001, 2**64):
         with pytest.raises(ValueError):
             factor_u64(n, table_10k)
+    assert factor_u64(1, table_10k).entries == ()
     assert factor_u64(10_000, table_10k).value == 10_000
 
 
