@@ -9,13 +9,14 @@ at index 1 call our catalan_exact(n - 1) their nth term.
 from __future__ import annotations
 
 from math import factorial, floor, isinf, log, pi, ulp
-from typing import Literal
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal
 
 from .errors import CapacityError, InconsistencyError
 from .factorint import Factorization, legendre_valuation
 from .primes import PrimeTable, build_prime_table, is_prime
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest index accepted for exact big-integer evaluation; catalan_exact(10**6)
 # has about 602,000 digits, multiplied out of its factorization in 4.6-6.6 s
@@ -40,20 +41,41 @@ def catalan_exact(n: int) -> int:
     return catalan_factorization(n, build_prime_table(max(2 * n, 2))).value
 
 
-def _valuation_block(ns, ps) -> np.ndarray:
-    """v_p(C_n) elementwise for int64 arrays (or scalars) of indices
-    0 <= n < 2**62 and primes p, broadcast together into an array of at
-    least one dimension, whose shape an array p must already have (a
-    scalar n with a slice of primes, or equal-length arrays): the Legendre
-    sum of 2n // p**k - (n + 1) // p**k - n // p**k over k >= 1, with
-    x // p**(k+1) taken as (x // p**k) // p, so no power of p is formed and
-    no value grows.  The k = 1 term covers every entry; only the entries
-    with p * p <= 2n go on to the higher powers, one in-place numpy step per
-    power.  A scalar p stays a scalar divisor, which numpy divides by
-    faster than by an array.  A call holds about four arrays of the input's
-    size (the index sweeps keep their blocks near numpy's import memory
-    floor).  Any p < 2 raises ValueError: p = 1 would never end the loop."""
-    n, p = np.atleast_1d(np.asarray(ns, dtype=np.int64)), np.asarray(ps, dtype=np.int64)
+def _catalan_factors(n: int, primes) -> list[tuple[int, int]]:
+    """(p, v_p(C_n)) for each of the given primes that divides C_n, in the
+    given order, for an index n >= 0: the Legendre sum of
+    2n // p**k - (n + 1) // p**k - n // p**k over k >= 1, with
+    x // p**(k+1) taken as (x // p**k) // p, so no power of p is formed.
+    The sum ends once 2n // p**k < p, since every later term is then 0;
+    for p * p > 2n that is after the first term, so the loop over the
+    higher powers runs only for the primes up to sqrt(2n)."""
+    factors = []
+    for p in primes:
+        t = 2 * n // p
+        v = t - (n + 1) // p - n // p
+        if t >= p:
+            m, d = (n + 1) // p, n // p
+            while t >= p:
+                t, m, d = t // p, m // p, d // p
+                v += t - m - d
+        if v:
+            factors.append((p, v))
+    return factors
+
+
+def _valuation_block(ns: np.ndarray, ps) -> np.ndarray:
+    """v_p(C_n) elementwise for an int64 array of indices 0 <= n < 2**62
+    and primes p, either an array of the same shape or a scalar: the
+    Legendre sum of _catalan_factors, one in-place numpy step per power of
+    p for the whole array.  The k = 1 term covers every entry; only the
+    entries with p * p <= 2n go on to the higher powers.  A scalar p stays
+    a scalar divisor, which numpy divides by faster than by an array.  A
+    call holds about four arrays of the input's size (the erdos and
+    mersenne passes keep their blocks near numpy's import memory floor).
+    Any p < 2 raises ValueError: p = 1 would never end the loop."""
+    import numpy as np
+
+    n, p = np.asarray(ns, dtype=np.int64), np.asarray(ps, dtype=np.int64)
     if (p < 2).any():
         raise ValueError("p must be >= 2")
     t, m, n = 2 * n // p, (n + 1) // p, n // p
@@ -77,8 +99,9 @@ def _valuation_block(ns, ps) -> np.ndarray:
 def catalan_valuation(n: int, p: int) -> int:
     """Exponent of the prime p in the nth Catalan number, as the difference
     of three factorial valuations (the big integer is never formed).  This
-    route is independent of _valuation_block, which catalan_factorization
-    and catalan_v2 use."""
+    route is independent of _catalan_factors, which catalan_factorization
+    and catalan_v2 run, and of _valuation_block, which the erdos and
+    mersenne passes run."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     if not is_prime(p):
@@ -88,15 +111,13 @@ def catalan_valuation(n: int, p: int) -> int:
 
 def catalan_factorization(n: int, table: PrimeTable) -> Factorization:
     """Factor the nth Catalan number using only factorial valuations over
-    the table's primes.  The table must cover 2n."""
+    the table's primes up to 2n, through _catalan_factors.  The table must
+    cover 2n."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     if table.limit < 2 * n:
         raise ValueError(f"table limit {table.limit} does not cover 2n = {2 * n}")
-    ps = table.primes[: table.pi(2 * n)]
-    es = _valuation_block(n, ps)
-    keep = es != 0
-    return Factorization(tuple(zip(ps[keep].tolist(), es[keep].tolist())))
+    return Factorization(tuple(_catalan_factors(n, table.primes[: table.pi(2 * n)])))
 
 
 def catalan_v2(n: int) -> int:
@@ -107,9 +128,8 @@ def catalan_v2(n: int) -> int:
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n >= _INT64_INDEX_BOUND:
-        raise CapacityError(f"2-adic valuation capped below index {_INT64_INDEX_BOUND}")
-    return int(_valuation_block(n, 2)[0])
+    factors = _catalan_factors(n, (2,))
+    return factors[0][1] if factors else 0
 
 
 def product_form(k: int, parity: Literal["even", "odd"]) -> int:

@@ -10,9 +10,10 @@ the earlier blocks gave.  The sigma(z*k - 1) sweeps (lemma six, the family,
 the conjecture search) reduce one exact sigma_block call per block mod z
 and factor only the values they report.  erdos and mersenne are numpy
 passes built on catalan._valuation_block; erdos blocks its (n, p) pairs.
-theorem1 and sigma-catalan are the other two: _gap_sweep factors only the
-indices that _uncovered lists from one scan of the gaps between primes
-congruent to 5 mod 6, so their witnesses come from the full
+These block sweeps import numpy when they run, and nothing else here
+does.  theorem1 and sigma-catalan are the other two: _gap_sweep factors
+only the indices that _uncovered lists from one scan of the gaps between
+primes congruent to 5 mod 6, so their witnesses come from the full
 factorization.  Witness records are plain dicts so they serialize as-is.
 """
 
@@ -22,8 +23,6 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from math import gcd
 from time import perf_counter
-
-import numpy as np
 
 from .catalan import _INT64_INDEX_BOUND, _valuation_block, catalan_factorization, catalan_v2
 from .divisor import sigma_block, sigma_exact, sigma_mod
@@ -95,6 +94,8 @@ def _blocks(lo: int, hi: int):
     """Ascending int64 arrays covering [lo, hi], none if lo > hi.  The
     first has _FIRST_PROBE_BLOCK entries and each later one twice as many
     as the one before, up to _BLOCK; the last may be shorter."""
+    import numpy as np
+
     size = min(_FIRST_PROBE_BLOCK, _BLOCK)
     while lo <= hi:
         yield np.arange(lo, min(lo + size, hi + 1), dtype=np.int64)
@@ -108,7 +109,7 @@ def _sigma_failures(z: int, k_max: int, table: PrimeTable):
     sigma_block call, reduced mod z here."""
     for ks in _blocks(1, k_max):
         remainders = sigma_block(z * ks - 1, table) % z
-        bad = np.flatnonzero(remainders)[:_MAX_WITNESSES]  # no caller asks for more
+        bad = remainders.nonzero()[0][:_MAX_WITNESSES]  # no caller asks for more
         hits = zip(ks[bad].tolist(), remainders[bad].tolist())
         # freed before the caller resumes, so one block is held at a time
         del ks, remainders
@@ -180,7 +181,7 @@ def search_conjecture(b_max: int, k_max: int) -> ConjectureSearch:
     return ConjectureSearch(b_max, k_max, survivors, eliminated, perf_counter() - started)
 
 
-def _uncovered(n_min: int, n_max: int, primes: np.ndarray):
+def _uncovered(n_min: int, n_max: int, primes):
     """The n in [n_min, n_max] with no prime q congruent to 5 mod 6 in
     (n + 1, 2n], ascending; primes are the ascending primes of a table
     covering 2 * n_max.  Such a q divides C_n exactly once (2n // q = 1,
@@ -190,22 +191,15 @@ def _uncovered(n_min: int, n_max: int, primes: np.ndarray):
     run from q - 1 to (q' - 1) // 2, a gap only where q' > 2q - 2.  A
     sentinel q = 0 before the first such prime gives the n with 2n < 5
     (which have no such prime), and for the last such prime q the n from
-    q - 1 to n_max come last.  The primes are scanned _BLOCK at a time, so
-    no temporary spans the whole array, and the scan stops once q - 1
-    passes n_max."""
+    q - 1 to n_max come last.  The scan stops once q - 1 passes n_max."""
     q = 0
-    for at in range(0, len(primes), _BLOCK):
-        if q - 1 > n_max:
-            return
-        block = primes[at : at + _BLOCK]
-        nxt = block[block % 6 == 5]
-        if not nxt.size:
-            continue
-        prev = np.concatenate(([q], nxt[:-1]))
-        gap = np.flatnonzero(nxt > 2 * prev - 2)
-        for lo, hi in zip((prev[gap] - 1).tolist(), ((nxt[gap] - 1) // 2).tolist()):
-            yield from range(max(lo, n_min), min(hi, n_max) + 1)
-        q = int(nxt[-1])
+    for p in primes:
+        if p % 6 == 5:
+            if q - 1 > n_max:
+                return
+            if p > 2 * q - 2:
+                yield from range(max(q - 1, n_min), min((p - 1) // 2, n_max) + 1)
+            q = p
     yield from range(max(q - 1, n_min), n_max + 1)
 
 
@@ -245,12 +239,16 @@ def verify_sigma_catalan(n_min: int, n_max: int) -> VerificationOutcome:
     return _gap_sweep("sigma-catalan", n_min, n_max, witness)
 
 
-def _erdos_pairs(n_max: int, primes: np.ndarray):
+def _erdos_pairs(n_max: int, primes):
     """Arrays (n, p) of the pairs with 1 <= n <= n_max and p prime in
     (n + 1, 2n], ordered by n and then p, in blocks of at most _BLOCK
     pairs.  The primes of one n are a run of the prime array, so a block is
     a window of offsets into the concatenated runs of one block of n: each
-    n it meets is repeated once per pair of it inside the window."""
+    n it meets is repeated once per pair of it inside the window.  numpy
+    reads the table's int64 primes in place, without a copy."""
+    import numpy as np
+
+    primes = np.frombuffer(primes, dtype=np.int64)
     for ns in _blocks(1, n_max):
         first = np.searchsorted(primes, ns + 1, side="right")
         ends = np.cumsum(np.searchsorted(primes, 2 * ns, side="right") - first)
@@ -273,7 +271,7 @@ def verify_erdos_interval(n_max: int) -> VerificationOutcome:
     def witnesses():
         for ns, ps in _erdos_pairs(n_max, table.primes):
             exponents = _valuation_block(ns, ps)
-            bad = np.flatnonzero(exponents != 1)[:_MAX_WITNESSES]
+            bad = (exponents != 1).nonzero()[0][:_MAX_WITNESSES]
             for n, p, v in zip(ns[bad].tolist(), ps[bad].tolist(), exponents[bad].tolist()):
                 yield {"n": n, "p": p, "exponent": v}
 
@@ -286,6 +284,8 @@ def verify_mersenne_parity(n_max: int) -> VerificationOutcome:
     2-adic valuation agreeing everywhere.  Both routes run as array passes;
     a flagged n reports catalan_v2(n) and binary_digit_sum(n + 1) - 1.
     The passes form 2n in int64, so n_max stays below 2**62."""
+    import numpy as np
+
     started = perf_counter()
     if n_max < 0:
         raise ValueError("n_max must be >= 0")

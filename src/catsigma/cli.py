@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from time import perf_counter
@@ -143,8 +144,11 @@ def _dispatch(args, timing: bool):
     """Returns (command, parameters, outcome payload, exit code)."""
     if args.command in ("factor-catalan", "sigma-catalan"):
         n = args.n
+        # both refusals come before C_n is factored
         if args.command == "sigma-catalan" and args.mod is None and n > CATALAN_EXACT_CEILING:
             raise CapacityError(f"exact sigma capped at index {CATALAN_EXACT_CEILING}")
+        if args.command == "sigma-catalan" and args.mod is not None and args.mod < 2:
+            raise ValueError("modulus must be >= 2")
         factors = catalan_factorization(n, build_prime_table(max(2 * n, 2)))
         if args.command == "factor-catalan":
             payload = {"n": n, "factors": [[p, e] for p, e in factors]}
@@ -247,17 +251,27 @@ def run(argv=None) -> int:
         return 2
 
     if args.command == "omega" and args.format == "csv":
-        sys.stdout.write(_omega_csv(payload))
-        return code
-
-    envelope = {
-        "command": command,
-        "parameters": parameters,
-        "outcome": payload,
-        "tool_version": __version__,
-        "elapsed_ms": int((perf_counter() - started) * 1000) if args.timing else 0,
-    }
-    sys.stdout.write(_dumps(envelope) + "\n")
+        report = _omega_csv(payload)
+    else:
+        envelope = {
+            "command": command,
+            "parameters": parameters,
+            "outcome": payload,
+            "tool_version": __version__,
+            "elapsed_ms": int((perf_counter() - started) * 1000) if args.timing else 0,
+        }
+        report = _dumps(envelope) + "\n"
+    try:
+        sys.stdout.write(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; pointed at the null
+        # device, that flush cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("catsigma: stdout was closed before the report was written", file=sys.stderr)
+        return 2
     return code
 
 

@@ -3,10 +3,13 @@ and the exact block kernel behind the sigma(z*k - 1) sweeps."""
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .factorint import Factorization
 from .primes import PrimeTable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def sigma_exact(f: Factorization) -> int:
@@ -47,6 +50,8 @@ def sigma_block(values: np.ndarray, table: PrimeTable) -> np.ndarray:
     intermediate exceeds sigma(v) < 2**36 for v < 2**32 and int64 cannot
     wrap.
     """
+    import numpy as np
+
     values = np.asarray(values, dtype=np.int64)
     if values.size and (values.min() < 1 or values.max() > table.limit):
         raise ValueError(f"values must lie in [1, {table.limit}]")

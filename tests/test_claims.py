@@ -244,7 +244,7 @@ def _holds_by_factorization(n, table):
 
 
 def _fives(table):
-    return table.primes[table.primes % 6 == 5]
+    return [p for p in table.primes if p % 6 == 5]
 
 
 def test_uncovered_indices_are_the_small_exceptions(table_10k):
@@ -290,7 +290,7 @@ def test_index_sweeps_over_tables_without_a_5_mod_6_prime(monkeypatch):
     ]
     assert verify_sigma_catalan(2, 2).counterexamples == [{"n": 2, "remainder": 3}]
     assert [t.limit for t in tables] == [2, 4, 4]
-    assert all(_fives(t).size == 0 for t in tables)
+    assert all(len(_fives(t)) == 0 for t in tables)
 
 
 def test_mersenne_witnesses_come_from_the_per_index_routes(monkeypatch):

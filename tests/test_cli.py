@@ -85,12 +85,68 @@ def test_sigma_catalan_exact_past_int_str_limit(capsys):
         sys.set_int_max_str_digits(default)
 
 
+def _cli_env():
+    return dict(os.environ, PYTHONPATH=str(Path(catsigma.__file__).parent.parent))
+
+
 def test_python_dash_m_runs_the_cli(capsys):
-    env = dict(os.environ, PYTHONPATH=str(Path(catsigma.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-m", "catsigma", "digits", "9"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
     code, out, err = invoke(capsys, "digits", "9")
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # the reader is gone before the report is written; exit 1 would claim a
+    # counterexample, so the CLI reports the closed stdout and exits 2
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "catsigma", "verify", "lemma-six", "--k-max", "100"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=_cli_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("catsigma: ") and proc.stderr.count("\n") == 1
+
+
+# runs argv through the CLI, report discarded, then prints the exit code and
+# whether numpy was loaded; with no argv it only imports the package
+NUMPY_PROBE = """
+import contextlib, io, sys
+import catsigma
+code = 0
+if sys.argv[1:]:
+    from catsigma.cli import run
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+# only the block sweeps (the sigma(z*k - 1) sweeps, erdos, mersenne) need
+# numpy; the Catalan commands need only the primes and a Legendre sum
+NUMPY_FREE_COMMANDS = [
+    ((), "0"),
+    (("factor-catalan", "183"), "0"),
+    (("sigma-catalan", "183"), "0"),
+    (("sigma-catalan", "183", "--mod", "6"), "0"),
+    (("digits", "1023"), "0"),
+    (("verify", "theorem1", "--n-min", "0", "--n-max", "300"), "1"),
+    (("verify", "sigma-catalan", "--n-min", "0", "--n-max", "300"), "1"),
+    (("omega", "--range", "100:2000:100"), "0"),
+    (("estimate", "--kind", "asymptotic", "--n", "1023"), "0"),
+    (("coprime-graph", "--coeffs", "3,4,6,8,12,24"), "0"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code", NUMPY_FREE_COMMANDS,
+                         ids=[" ".join(a) or "import catsigma" for a, _ in NUMPY_FREE_COMMANDS])
+def test_catalan_commands_run_without_numpy(argv, exit_code):
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == [exit_code, "False"]
 
 
 def test_verify_lemma_six_holds(capsys):
@@ -161,6 +217,14 @@ def test_memory_checked_before_sieving(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert "physical memory" in err
+
+
+def test_modulus_checked_before_factoring(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_prime_table", lambda limit: pytest.fail(f"built a table to {limit} first"))
+    for modulus in ("1", "0", "-6"):
+        code, out, err = invoke(capsys, "sigma-catalan", "20000000", "--mod", modulus)
+        assert (code, out) == (2, "")
+        assert "modulus must be >= 2" in err
 
 
 def test_mersenne_index_bound_exits_2(capsys, monkeypatch):
