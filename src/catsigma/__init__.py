@@ -38,7 +38,7 @@ from .claims import (
 )
 from .divisor import sigma_block, sigma_exact, sigma_mod
 from .errors import CapacityError, InconclusiveError, InconsistencyError
-from .factorint import Factorization, binary_digit_sum, factor_u64, legendre_valuation
+from .factorint import Factorization, factor_u64, legendre_valuation
 from .primes import PrimeTable, build_prime_table, is_prime
 
 __all__ = [
@@ -78,7 +78,6 @@ __all__ = [
     "InconclusiveError",
     "InconsistencyError",
     "Factorization",
-    "binary_digit_sum",
     "factor_u64",
     "legendre_valuation",
     "PrimeTable",

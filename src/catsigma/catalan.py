@@ -67,12 +67,12 @@ def _valuation_block(ns: np.ndarray, ps) -> np.ndarray:
     """v_p(C_n) elementwise for an int64 array of indices 0 <= n < 2**62
     and primes p, either an array of the same shape or a scalar: the
     Legendre sum of _catalan_factors, one in-place numpy step per power of
-    p for the whole array.  The k = 1 term covers every entry; only the
-    entries with p * p <= 2n go on to the higher powers.  A scalar p stays
-    a scalar divisor, which numpy divides by faster than by an array.  A
-    call holds about four arrays of the input's size (the erdos and
-    mersenne passes keep their blocks near numpy's import memory floor).
-    Any p < 2 raises ValueError: p = 1 would never end the loop."""
+    p over the whole array, until 2n // p**k < p for every entry.  Entries
+    that finish early add zero terms.  A scalar p stays a scalar divisor,
+    which numpy divides by faster than by an array.  A call holds about
+    four arrays of the input's size (the erdos and mersenne passes keep
+    their blocks near numpy's import memory floor).  Any p < 2 raises
+    ValueError: p = 1 would never end the loop."""
     import numpy as np
 
     n, p = np.asarray(ns, dtype=np.int64), np.asarray(ps, dtype=np.int64)
@@ -80,19 +80,13 @@ def _valuation_block(ns: np.ndarray, ps) -> np.ndarray:
         raise ValueError("p must be >= 2")
     t, m, n = 2 * n // p, (n + 1) // p, n // p
     v = t - m - n
-    deep = t >= p
-    if p.ndim:
-        p = p[deep]
-    t, m, n = t[deep], m[deep], n[deep]
-    higher = np.zeros(t.shape, dtype=np.int64)
     while (t >= p).any():
         t //= p
         m //= p
         n //= p
-        higher += t
-        higher -= m
-        higher -= n
-    v[deep] += higher
+        v += t
+        v -= m
+        v -= n
     return v
 
 
@@ -123,8 +117,9 @@ def catalan_factorization(n: int, table: PrimeTable) -> Factorization:
 def catalan_v2(n: int) -> int:
     """2-adic valuation of the nth Catalan number, via Legendre sums.
 
-    Always equals binary_digit_sum(n + 1) - 1; callers that want the
-    digit-sum route as an independent check compute it themselves.
+    Always equals (n + 1).bit_count() - 1, the binary digit sum of n + 1
+    less one; callers that want that route as an independent check
+    compute it themselves.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")

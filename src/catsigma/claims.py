@@ -27,7 +27,7 @@ from time import perf_counter
 from .catalan import _INT64_INDEX_BOUND, _valuation_block, catalan_factorization, catalan_v2
 from .divisor import sigma_block, sigma_exact, sigma_mod
 from .errors import CapacityError, InconclusiveError
-from .factorint import binary_digit_sum, factor_u64
+from .factorint import factor_u64
 from .primes import PrimeTable, build_prime_table
 
 # The six moduli z for which z | sigma(z*k - 1) holds for every k; the
@@ -282,7 +282,7 @@ def verify_mersenne_parity(n_max: int) -> VerificationOutcome:
     """Check the parity criterion for all n <= n_max: catalan(n) is odd iff
     n + 1 is a power of two, with the Legendre and digit-sum routes for the
     2-adic valuation agreeing everywhere.  Both routes run as array passes;
-    a flagged n reports catalan_v2(n) and binary_digit_sum(n + 1) - 1.
+    a flagged n reports catalan_v2(n) and (n + 1).bit_count() - 1.
     The passes form 2n in int64, so n_max stays below 2**62."""
     import numpy as np
 
@@ -299,7 +299,7 @@ def verify_mersenne_parity(n_max: int) -> VerificationOutcome:
             power_of_two = (ns + 1) & ns == 0
             bad = (v_legendre != v_digit) | ((v_legendre == 0) != power_of_two)
             for n in ns[bad].tolist():
-                yield {"n": n, "v2_legendre": catalan_v2(n), "v2_digit_sum": binary_digit_sum(n + 1) - 1}
+                yield {"n": n, "v2_legendre": catalan_v2(n), "v2_digit_sum": (n + 1).bit_count() - 1}
 
     return _outcome("mersenne-parity", (0, n_max), witnesses(), started)
 

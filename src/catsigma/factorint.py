@@ -43,13 +43,6 @@ class Factorization:
         return tuple(p for p, _ in self.entries)
 
 
-def binary_digit_sum(n: int) -> int:
-    """Sum of the base-2 digits of n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return n.bit_count()
-
-
 def legendre_valuation(n: int, p: int) -> int:
     """Exponent of the prime p in n!, i.e. the finite sum of n // p**i.
 

@@ -3,7 +3,7 @@ from math import factorial
 import pytest
 
 import oracles
-from catsigma import Factorization, binary_digit_sum, build_prime_table, factor_u64, legendre_valuation
+from catsigma import Factorization, build_prime_table, factor_u64, legendre_valuation
 
 
 @pytest.mark.parametrize("n,p,expected", [(10, 2, 8), (8, 2, 7), (0, 5, 0), (1, 7, 0)])
@@ -52,17 +52,7 @@ def test_legendre_near_word_size():
 
 def test_v2_equals_n_minus_digit_sum():
     for n in range(100_001):
-        assert legendre_valuation(n, 2) == n - binary_digit_sum(n)
-
-
-@pytest.mark.parametrize("n,expected", [(0, 0), (8, 1), (10, 2), (255, 8)])
-def test_binary_digit_sum(n, expected):
-    assert binary_digit_sum(n) == expected
-
-
-def test_binary_digit_sum_rejects_negative():
-    with pytest.raises(ValueError):
-        binary_digit_sum(-1)
+        assert legendre_valuation(n, 2) == n - n.bit_count()
 
 
 @pytest.mark.parametrize(
