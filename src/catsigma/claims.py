@@ -11,9 +11,9 @@ the conjecture search) reduce one exact sigma_block call per block mod z
 and factor only the values they report.  erdos and mersenne are numpy
 passes built on catalan._valuation_block; erdos blocks its (n, p) pairs.
 These block sweeps import numpy when they run, and nothing else here
-does.  theorem1 and sigma-catalan are the other two: _gap_sweep factors
-only the indices that _uncovered lists from one scan of the gaps between
-primes congruent to 5 mod 6, so their witnesses come from the full
+does.  theorem1 and sigma-catalan are the other two: _gap_sweep factors,
+each over a table to 2n, only the n that _uncovered lists from a chain of
+primes congruent to 5 mod 6, and their witnesses come from the full
 factorization.  Witness records are plain dicts so they serialize as-is.
 """
 
@@ -28,7 +28,7 @@ from .catalan import _INT64_INDEX_BOUND, _valuation_block, catalan_factorization
 from .divisor import sigma_block, sigma_exact, sigma_mod
 from .errors import CapacityError, InconclusiveError
 from .factorint import factor_u64
-from .primes import PrimeTable, build_prime_table
+from .primes import PrimeTable, build_prime_table, is_prime
 
 # The six moduli z for which z | sigma(z*k - 1) holds for every k; the
 # conjecture search asks whether any other modulus shares the property.
@@ -181,37 +181,37 @@ def search_conjecture(b_max: int, k_max: int) -> ConjectureSearch:
     return ConjectureSearch(b_max, k_max, survivors, eliminated, perf_counter() - started)
 
 
-def _uncovered(n_min: int, n_max: int, primes):
+def _uncovered(n_min: int, n_max: int):
     """The n in [n_min, n_max] with no prime q congruent to 5 mod 6 in
-    (n + 1, 2n], ascending; primes are the ascending primes of a table
-    covering 2 * n_max.  Such a q divides C_n exactly once (2n // q = 1,
+    (n + 1, 2n], ascending.  Such a q divides C_n exactly once (2n // q = 1,
     (n + 1) // q = n // q = 0 and q * q > 2n), so it is a 6k - 1 factor,
-    and sigma's q-term 1 + q is 0 mod 6.  Between consecutive such primes
-    q < q', the n with q <= 2n < q' lack one exactly when n >= q - 1: they
-    run from q - 1 to (q' - 1) // 2, a gap only where q' > 2q - 2.  A
-    sentinel q = 0 before the first such prime gives the n with 2n < 5
-    (which have no such prime), and for the last such prime q the n from
-    q - 1 to n_max come last.  The scan stops once q - 1 passes n_max."""
-    q = 0
-    for p in primes:
-        if p % 6 == 5:
-            if q - 1 > n_max:
-                return
-            if p > 2 * q - 2:
-                yield from range(max(q - 1, n_min), min((p - 1) // 2, n_max) + 1)
-            q = p
-    yield from range(max(q - 1, n_min), n_max + 1)
+    and sigma's q-term 1 + q is 0 mod 6; it settles each n from
+    ceil(q / 2) to q - 2.  While every n <= c is settled, the largest such
+    q <= 2c + 2 (is_prime, stepping down by 6) settles c + 1 exactly when
+    q >= c + 3, and c moves on to q - 2; otherwise c + 1 is listed.  Each
+    step about doubles c, so about log2(n_max) primes cover the range, and
+    every q tested is at most 2 * n_max."""
+    c = n_min - 1
+    while c < n_max:
+        q = 2 * c + 2 - (2 * c + 3) % 6
+        while q >= c + 3 and not is_prime(q):
+            q -= 6
+        if q >= c + 3:
+            c = q - 2
+        else:
+            c += 1
+            yield c
 
 
 def _gap_sweep(claim_id: str, n_min: int, n_max: int, witness) -> VerificationOutcome:
     """The theorem1 or sigma-catalan sweep of [n_min, n_max]: each n that
-    _uncovered lists is factored over a table to 2 * n_max, and
+    _uncovered lists is factored over its own table to 2n, and
     witness(n, factors) gives its record, or None where the claim holds."""
     started = perf_counter()
     if n_min < 0 or n_max < n_min:
         raise ValueError("need 0 <= n_min <= n_max")
-    table = build_prime_table(max(2 * n_max, 2))
-    records = (witness(n, catalan_factorization(n, table)) for n in _uncovered(n_min, n_max, table.primes))
+    records = (witness(n, catalan_factorization(n, build_prime_table(max(2 * n, 2))))
+               for n in _uncovered(n_min, n_max))
     return _outcome(claim_id, (n_min, n_max), filter(None, records), started)
 
 

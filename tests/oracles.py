@@ -6,6 +6,7 @@ sieves (one of them in numpy), base-p carry counts, bit tricks, binomial
 coefficients, and chunked digit counting.
 """
 
+from bisect import bisect_right
 from itertools import compress
 from math import comb, isqrt
 
@@ -45,6 +46,13 @@ def primes_by_sieve(limit: int) -> list[int]:
         if sieve[d]:
             sieve[d * d :: d] = bytes(len(range(d * d, limit + 1, d)))
     return list(compress(range(limit + 1), sieve))
+
+
+def indices_without_5_mod_6_prime(n_max: int) -> list[int]:
+    """The n <= n_max with no prime q = 5 mod 6 in (n + 1, 2n], by
+    bisecting the sieve's primes q = 5 mod 6 up to 2 * n_max."""
+    fives = [q for q in primes_by_sieve(max(2 * n_max, 2)) if q % 6 == 5]
+    return [n for n in range(n_max + 1) if bisect_right(fives, 2 * n) <= bisect_right(fives, n + 1)]
 
 
 def sigma_by_scan(n: int) -> int:

@@ -1,5 +1,6 @@
 from bisect import bisect_right
 from dataclasses import replace
+from functools import cache
 from math import gcd
 
 import numpy as np
@@ -248,7 +249,7 @@ def _fives(table):
 
 
 def test_uncovered_indices_are_the_small_exceptions(table_10k):
-    uncovered = list(claims._uncovered(0, 5_000, table_10k.primes))
+    uncovered = list(claims._uncovered(0, 5_000))
     assert uncovered == sorted(SMALL_INDEX_EXCEPTIONS)
     for n in range(5_001):
         if n not in SMALL_INDEX_EXCEPTIONS:
@@ -259,17 +260,45 @@ def test_uncovered_indices_are_the_small_exceptions(table_10k):
 @given(a=st.integers(0, 10**5), length=st.integers(1, 10**5))
 @example(a=4, length=6)  # a window that starts inside a gap
 def test_uncovered_indices_in_random_windows(table_200k, a, length):
-    # the table reaches past 2b, so the scan also meets primes beyond it
     b = min(a + length - 1, 10**5)
-    uncovered = list(claims._uncovered(a, b, table_200k.primes))
+    uncovered = list(claims._uncovered(a, b))
     assert uncovered == sorted(n for n in SMALL_INDEX_EXCEPTIONS if a <= n <= b)
     for n in {a, b} - SMALL_INDEX_EXCEPTIONS:
         assert _holds_by_factorization(n, table_200k) == (True, True)
 
 
+@cache
+def _lacking_by_sieve():
+    return oracles.indices_without_5_mod_6_prime(10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.one_of(st.integers(0, 40), st.integers(0, 10**6)), length=st.one_of(st.just(1), st.integers(1, 10**6)))
+@example(a=4, length=1)  # windows that start inside a gap
+@example(a=4, length=3)
+@example(a=5, length=1)
+@example(a=3, length=1)  # and one that starts and ends between the gaps
+@example(a=0, length=10**6)
+def test_uncovered_matches_an_independent_sieve(a, length):
+    b = min(a + length - 1, 10**6)
+    assert list(claims._uncovered(a, b)) == [n for n in _lacking_by_sieve() if a <= n <= b]
+
+
+@pytest.mark.parametrize("a", [2**32, 10**12, 10**18])
+def test_uncovered_lists_nothing_past_the_table_cap(a):
+    assert list(claims._uncovered(a, a)) == []
+    assert list(claims._uncovered(a, 2 * a)) == []
+
+
+def test_index_sweeps_past_the_table_cap_build_no_table(monkeypatch):
+    monkeypatch.setattr(claims, "build_prime_table", lambda limit: pytest.fail(f"built a table to {limit}"))
+    assert verify_theorem_6kminus1(6, 10**18).holds
+    assert verify_sigma_catalan(6, 10**18).holds
+
+
 def test_index_sweeps_without_the_gap_list(monkeypatch):
     expected = [verify_theorem_6kminus1(0, 3_000), verify_sigma_catalan(0, 3_000)]
-    monkeypatch.setattr(claims, "_uncovered", lambda n_min, n_max, primes: iter(range(n_min, n_max + 1)))
+    monkeypatch.setattr(claims, "_uncovered", lambda n_min, n_max: iter(range(n_min, n_max + 1)))
     factored = [verify_theorem_6kminus1(0, 3_000), verify_sigma_catalan(0, 3_000)]
     assert [o.counterexamples for o in factored] == [o.counterexamples for o in expected]
 
@@ -289,7 +318,7 @@ def test_index_sweeps_over_tables_without_a_5_mod_6_prime(monkeypatch):
         {"n": 2, "primes": [2]},
     ]
     assert verify_sigma_catalan(2, 2).counterexamples == [{"n": 2, "remainder": 3}]
-    assert [t.limit for t in tables] == [2, 4, 4]
+    assert [t.limit for t in tables] == [2, 2, 2, 4, 4]  # one table to 2n per listed n
     assert all(len(_fives(t)) == 0 for t in tables)
 
 
@@ -354,31 +383,34 @@ def test_mersenne_parity_capped_below_int64_index_bound(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "verifier,args,limit",
+    "verifier,args,limits",
     [
-        (verify_lemma_six, (100,), 599),  # 6k - 1
-        (verify_family, (5, 30), 149),  # z*k - 1
-        (verify_family, (2, 1), 2),
-        (search_conjecture, (10, 20), 199),  # b*k - 1
-        (search_conjecture, (2, 1), 2),
-        (verify_theorem_6kminus1, (3, 40), 80),  # 2n
-        (verify_theorem_6kminus1, (0, 0), 2),
-        (verify_sigma_catalan, (3, 40), 80),
-        (verify_sigma_catalan, (0, 0), 2),
-        (verify_erdos_interval, (40,), 80),
-        (verify_mersenne_parity, (40,), None),  # no table
+        (verify_lemma_six, (100,), [599]),  # 6k - 1
+        (verify_family, (5, 30), [149]),  # z*k - 1
+        (verify_family, (2, 1), [2]),
+        (search_conjecture, (10, 20), [199]),  # b*k - 1
+        (search_conjecture, (2, 1), [2]),
+        (verify_theorem_6kminus1, (3, 40), [8, 10]),  # 2n for each listed n
+        (verify_theorem_6kminus1, (0, 0), [2]),
+        (verify_sigma_catalan, (3, 40), [8, 10]),
+        (verify_sigma_catalan, (0, 0), [2]),
+        (verify_erdos_interval, (40,), [80]),  # 2 * n_max
+        (verify_mersenne_parity, (40,), []),  # no table
+        (verify_theorem_6kminus1, (6, 40), []),  # nothing listed, so no table
+        (verify_sigma_catalan, (6, 40), []),
     ],
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, list) and v else None,
 )
-def test_each_verifier_builds_the_table_its_range_needs(monkeypatch, verifier, args, limit):
-    limits = []
+def test_each_verifier_builds_the_table_its_range_needs(monkeypatch, verifier, args, limits):
+    built = []
 
     def recording(n):
-        limits.append(n)
+        built.append(n)
         return primes.build_prime_table(n)
 
     monkeypatch.setattr(claims, "build_prime_table", recording)
     verifier(*args)
-    assert limits == ([] if limit is None else [limit])
+    assert built == limits
 
 
 @pytest.mark.parametrize(

@@ -188,7 +188,7 @@ def test_spf_capacity_checked_before_sieving(capsys, monkeypatch):
         (("verify", "lemma-six", "--k-max", str(10**9)), "spf table limited"),
         (("verify", "family", "--z", "5", "--k-max", str(10**9)), "spf table limited"),
         (("verify", "conjecture", "--b-max", "100", "--k-max", str(10**8)), "spf table limited"),
-        (("verify", "theorem1", "--n-min", "0", "--n-max", "2147483648"), "spf table limited"),
+        (("verify", "erdos", "--n-max", "2147483648"), "spf table limited"),
         (("factor-catalan", "2147483648"), "spf table limited"),
         (("sigma-catalan", str(CATALAN_EXACT_CEILING + 1)), "exact sigma capped"),
     ):
@@ -210,13 +210,26 @@ def test_memory_checked_before_sieving(capsys, monkeypatch):
         ("factor-catalan", "10000000"),
         ("sigma-catalan", "10000000", "--mod", "6"),
         ("verify", "lemma-six", "--k-max", "2000000"),
-        ("verify", "theorem1", "--n-min", "0", "--n-max", "10000000"),
+        ("verify", "erdos", "--n-max", "10000000"),
         ("omega", "--range", "2:10000000:1000000"),
     ):
         code, out, err = invoke(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "physical memory" in err
+
+
+def test_index_sweep_bound_is_half_the_primality_bound(capsys, monkeypatch):
+    # the chain tests q <= 2 * n_max, so n_max up to 1.6e24 keeps every q
+    # below is_prime's deterministic bound, and a larger n_max is refused
+    monkeypatch.setattr(claims, "build_prime_table", lambda limit: pytest.fail(f"built a table to {limit}"))
+    for claim in ("theorem1", "sigma-catalan"):
+        code, out, err = invoke(capsys, "verify", claim, "--n-min", "6", "--n-max", str(16 * 10**23))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["outcome"]["holds"] is True
+        code, out, err = invoke(capsys, "verify", claim, "--n-min", "6", "--n-max", str(10**25))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "witness-set bound" in err and "Traceback" not in err
 
 
 def test_modulus_checked_before_factoring(capsys, monkeypatch):

@@ -52,6 +52,14 @@ def theorem1_matches_trial_factoring(n_min, n_max):
     return check
 
 
+def uncovered_matches_sieve_oracle():
+    """The gap list of every window [a, b] with b <= 60 is the oracle's,
+    bisected from the sieve's primes 5 mod 6."""
+    lacking = oracles.indices_without_5_mod_6_prime(60)
+    windows = [(a, b) for b in range(61) for a in range(b + 1)]
+    return all(list(claims._uncovered(a, b)) == [n for n in lacking if a <= n <= b] for a, b in windows)
+
+
 def mersenne_holds_to_20000():
     return claims.verify_mersenne_parity(LIMIT).holds
 
@@ -86,14 +94,16 @@ def spf_matches_trial_factoring():
 
 DEFECTS = [
     # a verifier reports holds where the claim fails
-    ("last-gap-starts-at-q", claims, "_uncovered", "max(q - 1, n_min), n_max + 1)", "max(q, n_min), n_max + 1)",
-     theorem1_matches_trial_factoring(4, 4)),
+    ("chain-start-off-by-two", claims, "_uncovered", "(2 * c + 3) % 6", "(2 * c + 1) % 6",
+     theorem1_matches_trial_factoring(4, 5)),
+    ("chain-settles-one-past-q-minus-two", claims, "_uncovered", "c = q - 2", "c = q - 1",
+     theorem1_matches_trial_factoring(3, 4)),
     ("three-read-as-five", claims, "verify_theorem_6kminus1", "p % 6 == 5", "p % 6 in (3, 5)",
      theorem1_matches_trial_factoring(5, 5)),
     # a verifier lists the wrong witnesses, fails a claim that holds, or a
     # kernel disagrees with its oracle
-    ("inner-gap-starts-at-q", claims, "_uncovered", "max(q - 1, n_min), min(", "max(q, n_min), min(",
-     theorem1_matches_trial_factoring(0, 300)),
+    ("chain-ends-one-short", claims, "_uncovered", "while c < n_max:", "while c < n_max - 1:",
+     uncovered_matches_sieve_oracle),
     ("valuation-loop-never-entered", catalan, "_valuation_block", "while (t >= p).any():", "while False:",
      mersenne_holds_to_20000),
     ("valuation-n-plus-two-mersenne", catalan, "_valuation_block", "(n + 1) // p", "(n + 2) // p",
