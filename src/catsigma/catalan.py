@@ -21,6 +21,7 @@ if TYPE_CHECKING:
 # Largest index accepted for exact big-integer evaluation; catalan_exact(10**6)
 # has about 602,000 digits, multiplied out of its factorization in 4.6-6.6 s
 # on a 2-vCPU Xeon (0.15 s at 1.5*10**5; the cost grows about quadratically).
+# digit_count pays that cost only where its estimate cannot settle the count.
 CATALAN_EXACT_CEILING = 1_000_000
 
 # _valuation_block works in int64 and forms 2n, so indices stay below 2**62.
@@ -165,38 +166,29 @@ def convolution_check(n_max: int) -> bool:
     return all(seq[n] == catalan_exact(n) for n in range(n_max + 1))
 
 
-def _decimal_digits(x: int) -> int:
-    # exact digit count without going through str() (which caps big ints)
-    if x < 10:
-        return 1
-    digits = max(1, int(x.bit_length() * 0.30103))
-    while 10**digits <= x:
-        digits += 1
-    while 10 ** (digits - 1) > x:
-        digits -= 1
-    return digits
-
-
 def digit_count(n: int) -> int:
-    """Number of base-10 digits of the nth Catalan number.
-
-    Exact (counted on catalan_exact's integer, 4.6-6.6 s at the ceiling) up
-    to CATALAN_EXACT_CEILING; beyond that the asymptotic estimate is used,
-    and the call fails with CapacityError if the estimate lands too close
-    to a power of ten to resolve the count."""
+    """Number of base-10 digits of the nth Catalan number, read off
+    asymptotic_log and its error envelope.  Where the envelope around
+    log10 C_n holds an integer d, C_n is compared with 10**d: that forms
+    catalan_exact's integer (4.6-6.6 s at the ceiling) up to
+    CATALAN_EXACT_CEILING, and past it the call fails with CapacityError."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n <= CATALAN_EXACT_CEILING:
-        return _decimal_digits(catalan_exact(n))
+    if n == 0:
+        return 1
     log10 = asymptotic_log(n) / log(10)
     # estimate error envelope: |log10 off| < (9/(8n) + 0.005) / ln 10, plus
     # the float rounding of log10 itself: about six roundings (n, ln 4, the
-    # product, the sum, ln 10, the quotient), each within one ulp of log10
+    # product, the sum, ln 10, the quotient), each within one ulp of log10.
+    # The margin is below 1/2 for every n >= 1 (0.491 at n = 1), so the
+    # envelope holds at most one integer, the nearest one to log10.
     margin = (9 / (8 * n) + 0.005) / log(10) + 8 * ulp(log10) + 1e-9
-    frac = log10 - floor(log10)
-    if frac < margin or frac > 1 - margin:
+    d = round(log10)
+    if abs(log10 - d) >= margin:
+        return floor(log10) + 1
+    if n > CATALAN_EXACT_CEILING:
         raise CapacityError(f"digit count at index {n} not resolvable from the estimate")
-    return floor(log10) + 1
+    return d + (catalan_exact(n) >= 10**d)
 
 
 def stirling_log_estimate(k: int) -> float:

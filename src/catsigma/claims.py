@@ -28,7 +28,7 @@ from .catalan import _INT64_INDEX_BOUND, _valuation_block, catalan_factorization
 from .divisor import sigma_block, sigma_exact, sigma_mod
 from .errors import CapacityError, InconclusiveError
 from .factorint import factor_u64
-from .primes import PrimeTable, build_prime_table, is_prime
+from .primes import _MR_DETERMINISTIC_BOUND, PrimeTable, build_prime_table, is_prime
 
 # The six moduli z for which z | sigma(z*k - 1) holds for every k; the
 # conjecture search asks whether any other modulus shares the property.
@@ -206,10 +206,15 @@ def _uncovered(n_min: int, n_max: int):
 def _gap_sweep(claim_id: str, n_min: int, n_max: int, witness) -> VerificationOutcome:
     """The theorem1 or sigma-catalan sweep of [n_min, n_max]: each n that
     _uncovered lists is factored over its own table to 2n, and
-    witness(n, factors) gives its record, or None where the claim holds."""
+    witness(n, factors) gives its record, or None where the claim holds.
+    _uncovered tests primes up to 2 * n_max, so n_max must keep them below
+    is_prime's witness-set bound; a larger n_max is refused up front."""
     started = perf_counter()
     if n_min < 0 or n_max < n_min:
         raise ValueError("need 0 <= n_min <= n_max")
+    if 2 * n_max >= _MR_DETERMINISTIC_BOUND:
+        raise CapacityError(f"n_max {n_max} exceeds {(_MR_DETERMINISTIC_BOUND - 1) // 2}, "
+                            "half the primality test's witness-set bound")
     records = (witness(n, catalan_factorization(n, build_prime_table(max(2 * n, 2))))
                for n in _uncovered(n_min, n_max))
     return _outcome(claim_id, (n_min, n_max), filter(None, records), started)

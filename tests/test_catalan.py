@@ -1,4 +1,4 @@
-from math import exp, log
+from math import exp, lgamma, log
 
 import numpy as np
 import pytest
@@ -202,10 +202,60 @@ def test_digit_count_is_never_wrong_past_the_ceiling(n, digits):
         pass
 
 
+def _envelope_ratio(n, ln_c):
+    # |ln C_n - asymptotic_log(n)| as a share of the error envelope that
+    # digit_count's margin is built on
+    return abs(ln_c - asymptotic_log(n)) / (9 / (8 * n) + 0.005)
+
+
+def test_digit_count_envelope_holds_over_whole_ranges():
+    # exact ln C_n (C_n from the recurrence) for every n <= 20000, then
+    # log-gamma on a stride up to 10**6; the peak is 0.917, at n = 10
+    c, worst = 1, 0.0
+    for n in range(1, 20_001):
+        c = c * 2 * (2 * n - 1) // (n + 1)
+        worst = max(worst, _envelope_ratio(n, log(c)))
+    assert 0.9 < worst < 1
+    for n in range(20_001, 10**6 + 1, 7):
+        ln_c = lgamma(2 * n + 1) - 2 * lgamma(n + 1) - log(n + 1)
+        assert _envelope_ratio(n, ln_c) < 1, n
+
+
+def test_digit_count_ties_match_the_oracle(monkeypatch):
+    # every index n <= 20000 whose envelope holds an integer forms C_n to
+    # break the tie; each such count must match the chunked oracle on the
+    # value from the recurrence
+    import catsigma.catalan as catalan_module
+
+    ties = []
+
+    def recording(n):
+        ties.append(n)
+        return catalan_exact(n)
+
+    monkeypatch.setattr(catalan_module, "catalan_exact", recording)
+    c = 1
+    for n in range(20_001):
+        digits = digit_count(n)
+        if ties and ties[-1] == n:
+            assert digits == oracles.decimal_digits(c), n
+        c = c * 2 * (2 * n + 1) // (n + 2)
+    assert len(ties) > 50
+
+
+@pytest.mark.parametrize("n,expected", [(1023, 612), (100_000, 60199), (150_000, 90301), (10**6, 602_051)])
+def test_digit_count_away_from_a_tie_builds_no_table(monkeypatch, n, expected):
+    import catsigma.catalan as catalan_module
+
+    monkeypatch.setattr(catalan_module, "build_prime_table", lambda limit: pytest.fail(f"built a table to {limit}"))
+    assert digit_count(n) == expected
+
+
 def test_digit_count_estimate_route(monkeypatch):
-    # drop the exact ceiling so the asymptotic route takes over where the
-    # true count is still easy to compute directly; the guard may refuse
-    # indices whose estimate sits too close to a power of ten
+    # drop the exact ceiling to where the true count is still easy to
+    # compute directly: every count there comes from the estimate, and
+    # indices whose envelope holds an integer are refused, as past the
+    # real ceiling
     import catsigma.catalan as catalan_module
 
     monkeypatch.setattr(catalan_module, "CATALAN_EXACT_CEILING", 500)

@@ -232,6 +232,27 @@ def test_index_sweep_bound_is_half_the_primality_bound(capsys, monkeypatch):
         assert err.count("\n") == 1 and "witness-set bound" in err and "Traceback" not in err
 
 
+# the largest n_max whose chain keeps every q <= 2 * n_max below is_prime's
+# deterministic bound, 3317044064679887385961981
+INDEX_SWEEP_N_MAX = 1658522032339943692980990
+
+
+@pytest.mark.parametrize("claim", ["theorem1", "sigma-catalan"])
+def test_index_sweep_runs_at_its_bound(capsys, claim):
+    code, out, err = invoke(capsys, "verify", claim, "--n-min", "6", "--n-max", str(INDEX_SWEEP_N_MAX))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outcome"]["holds"] is True
+
+
+@pytest.mark.parametrize("claim", ["theorem1", "sigma-catalan"])
+def test_index_sweep_past_its_bound_is_refused_up_front(capsys, monkeypatch, claim):
+    monkeypatch.setattr(claims, "is_prime", lambda q: pytest.fail(f"tested {q} for primality"))
+    code, out, err = invoke(capsys, "verify", claim, "--n-min", "6", "--n-max", str(INDEX_SWEEP_N_MAX + 1))
+    assert (code, out) == (2, "")
+    assert f"n_max {INDEX_SWEEP_N_MAX + 1} exceeds {INDEX_SWEEP_N_MAX}" in err
+    assert err.count("\n") == 1 and "witness-set bound" in err and "Traceback" not in err
+
+
 def test_modulus_checked_before_factoring(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_prime_table", lambda limit: pytest.fail(f"built a table to {limit} first"))
     for modulus in ("1", "0", "-6"):
@@ -260,7 +281,7 @@ ONE_ARRAY_ROUTES = [
     (("sigma-catalan", "183"), "primes"),
     (("sigma-catalan", "183", "--mod", "6"), "primes"),
     (("omega", "--range", "100:2000:100"), "primes"),
-    (("digits", "1023"), "primes"),
+    (("digits", "50047"), "primes"),  # a tie: its envelope holds an integer
 ]
 
 
