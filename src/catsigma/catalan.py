@@ -8,7 +8,7 @@ at index 1 call our catalan_exact(n - 1) their nth term.
 
 from __future__ import annotations
 
-from math import factorial, floor, isinf, log, pi, ulp
+from math import factorial, floor, isinf, log, pi, prod, ulp
 from typing import TYPE_CHECKING, Literal
 
 from .errors import CapacityError, InconsistencyError
@@ -34,9 +34,8 @@ _LN_PI = log(pi)
 
 def catalan_exact(n: int) -> int:
     """The nth Catalan number as an exact integer: its factorization over a
-    table to 2n, multiplied out (0.15 s at 1.5*10**5, 4.6-6.6 s at 10**6)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
+    table to 2n, multiplied out (0.15 s at 1.5*10**5, 4.6-6.6 s at 10**6).
+    A negative n is refused by catalan_factorization."""
     if n > CATALAN_EXACT_CEILING:
         raise CapacityError(f"exact evaluation capped at index {CATALAN_EXACT_CEILING}")
     return catalan_factorization(n, build_prime_table(max(2 * n, 2))).value
@@ -52,13 +51,11 @@ def _catalan_factors(n: int, primes) -> list[tuple[int, int]]:
     higher powers runs only for the primes up to sqrt(2n)."""
     factors = []
     for p in primes:
-        t = 2 * n // p
-        v = t - (n + 1) // p - n // p
-        if t >= p:
-            m, d = (n + 1) // p, n // p
-            while t >= p:
-                t, m, d = t // p, m // p, d // p
-                v += t - m - d
+        t, m, d = 2 * n // p, (n + 1) // p, n // p
+        v = t - m - d
+        while t >= p:
+            t, m, d = t // p, m // p, d // p
+            v += t - m - d
         if v:
             factors.append((p, v))
     return factors
@@ -140,15 +137,12 @@ def product_form(k: int, parity: Literal["even", "odd"]) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     if parity == "even":
-        numerator = 2**k
-        base = 2 * k + 1
+        power, base = 2**k, 2 * k + 1
     elif parity == "odd":
-        numerator = 2 ** (k - 1)
-        base = 2 * k - 1
+        power, base = 2 ** (k - 1), 2 * k - 1
     else:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    for j in range(1, k):
-        numerator *= base + 2 * j
+    numerator = power * prod(range(base + 2, base + 2 * k, 2))
     quotient, remainder = divmod(numerator, factorial(k))
     if remainder:
         raise InconsistencyError(f"product form for k={k} ({parity}) did not divide evenly")

@@ -3,9 +3,10 @@
 Every invocation writes exactly one report to stdout (JSON by default, CSV
 for tabular output on request) and returns 0 when the claim holds or the
 query succeeded, 1 when a counterexample was found, 2 on usage or capacity
-errors.  Reports are byte-identical across runs for the same arguments and
-version: elapsed fields are zeroed unless --timing is given, and sweeps
-report their first witnesses in ascending order.
+errors, on exhausted memory, or when stdout cannot take the report.
+Reports are byte-identical across runs for the same arguments and version:
+elapsed fields are zeroed unless --timing is given, and sweeps report their
+first witnesses in ascending order.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from dataclasses import asdict
 from time import perf_counter
 
 from . import __version__
-from .asymptotics import OmegaRecord, omega_table
+from .asymptotics import omega_table
 from .catalan import (CATALAN_EXACT_CEILING, asymptotic_log, catalan_factorization,
                       digit_count, stirling_log_estimate)
 from .claims import (
     FAMILY_MODULI,
-    VerificationOutcome,
     coprimality_graph,
     search_conjecture,
     verify_erdos_interval,
@@ -119,20 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _outcome_payload(outcome: VerificationOutcome, timing: bool) -> dict:
-    return {
-        "claim_id": outcome.claim_id,
-        "range": list(outcome.range),
-        "holds": outcome.holds,
-        "counterexamples": outcome.counterexamples,
-        "elapsed_ms": int(outcome.elapsed * 1000) if timing else 0,
-    }
-
-
-def _record_payload(record: OmegaRecord) -> dict:
-    return asdict(record) | {"ratio_omega": record.omega / record.pred_omega}
-
-
 def _omega_csv(records: list[dict]) -> str:
     lines = [",".join(records[0])]
     for row in records:
@@ -184,7 +170,8 @@ def _dispatch(args, timing: bool):
         if lo < 2:
             raise ValueError("omega range must start at 2 or above")
         table = build_prime_table(2 * hi)
-        records = [_record_payload(r) for r in omega_table(range(lo, hi + 1, step), table)]
+        records = [asdict(r) | {"ratio_omega": r.omega / r.pred_omega}
+                   for r in omega_table(range(lo, hi + 1, step), table)]
         params = {"range": f"{lo}:{hi}:{step}", "format": args.format}
         return "omega", params, records, 0
 
@@ -231,7 +218,13 @@ def _dispatch_verify(args, timing: bool):
         "mersenne": verify_mersenne_parity,
     }[claim]
     outcome = verifier(**params)
-    payload = _outcome_payload(outcome, timing)
+    payload = {
+        "claim_id": outcome.claim_id,
+        "range": list(outcome.range),
+        "holds": outcome.holds,
+        "counterexamples": outcome.counterexamples,
+        "elapsed_ms": int(outcome.elapsed * 1000) if timing else 0,
+    }
     return f"verify {claim}", params, payload, 0 if outcome.holds else 1
 
 
@@ -246,31 +239,33 @@ def run(argv=None) -> int:
     started = perf_counter()
     try:
         command, parameters, payload, code = _dispatch(args, args.timing)
+        if args.command == "omega" and args.format == "csv":
+            report = _omega_csv(payload)
+        else:
+            envelope = {
+                "command": command,
+                "parameters": parameters,
+                "outcome": payload,
+                "tool_version": __version__,
+                "elapsed_ms": int((perf_counter() - started) * 1000) if args.timing else 0,
+            }
+            report = _dumps(envelope) + "\n"
+        sys.stdout.write(report)
+        sys.stdout.flush()
     except (ValueError, CapacityError, InconsistencyError, InconclusiveError) as exc:
         print(f"catsigma: {exc}", file=sys.stderr)
         return 2
-
-    if args.command == "omega" and args.format == "csv":
-        report = _omega_csv(payload)
-    else:
-        envelope = {
-            "command": command,
-            "parameters": parameters,
-            "outcome": payload,
-            "tool_version": __version__,
-            "elapsed_ms": int((perf_counter() - started) * 1000) if args.timing else 0,
-        }
-        report = _dumps(envelope) + "\n"
-    try:
-        sys.stdout.write(report)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the interpreter flushes stdout again at exit; pointed at the null
+    except MemoryError:
+        print("catsigma: out of memory", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # only the write does I/O here: stdout is closed or full.  The
+        # interpreter flushes stdout again at exit; pointed at the null
         # device, that flush cannot raise
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print("catsigma: stdout was closed before the report was written", file=sys.stderr)
+        print(f"catsigma: the report could not be written to stdout: {exc.strerror}", file=sys.stderr)
         return 2
     return code
 
@@ -278,10 +273,7 @@ def run(argv=None) -> int:
 def _dumps(envelope: dict) -> str:
     """JSON text of the report.  Exact sigma values can pass the
     interpreter's int-to-str digit limit, which is lifted for this call
-    only.  Interpreters older than the limit (before 3.10.7) have no such
-    call."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return json.dumps(envelope, indent=2)
+    only."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

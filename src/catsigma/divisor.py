@@ -3,6 +3,7 @@ and the exact block kernel behind the sigma(z*k - 1) sweeps."""
 
 from __future__ import annotations
 
+from math import prod
 from typing import TYPE_CHECKING
 
 from .factorint import Factorization
@@ -14,10 +15,7 @@ if TYPE_CHECKING:
 
 def sigma_exact(f: Factorization) -> int:
     """Sum of all divisors of f.value, as a product of prime-power terms."""
-    total = 1
-    for p, e in f:
-        total *= (p ** (e + 1) - 1) // (p - 1)
-    return total
+    return prod((p ** (e + 1) - 1) // (p - 1) for p, e in f)
 
 
 def sigma_mod(f: Factorization, m: int) -> int:

@@ -4,6 +4,7 @@ covers, and p-adic valuations of factorials."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterator
 
 from .primes import PrimeTable, is_prime
@@ -33,11 +34,9 @@ class Factorization:
 
     @property
     def value(self) -> int:
-        """Reconstructed integer, one prime power at a time (4.6-6.6 s for C_1000000)."""
-        out = 1
-        for p, e in self.entries:
-            out *= p**e
-        return out
+        """Reconstructed integer: math.prod of the prime powers, multiplied in
+        one at a time (4.6-6.6 s for C_1000000)."""
+        return prod(p**e for p, e in self.entries)
 
     def prime_factors(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.entries)

@@ -92,8 +92,9 @@ class PrimeTable:
 def check_spf_limit(limit: int) -> None:
     """Raise CapacityError when a table up to limit would not fit the uint16
     spf entries, or when the estimated peak memory of either of its arrays
-    exceeds the memory budget, the smaller of physical memory and the
-    cgroup limit; cheap, so callers run it first.  The estimate is 1 byte
+    exceeds the memory budget, the smallest of physical memory, the cgroup
+    limit and the soft address-space limit (ulimit -v); cheap, so callers
+    run it first.  The estimate is 1 byte
     per integer and 8 per prime, with the pi bound above: 1.65, 9.42 and
     30.51 MiB at limits 10**6, 6*10**6 and 2*10**7, where tracemalloc
     measures peaks of 0.96, 5.73 and 19.1 MiB for the spf array and 1.09,
@@ -103,11 +104,12 @@ def check_spf_limit(limit: int) -> None:
         raise CapacityError(f"spf table limited to {_SPF_LIMIT_MAX}, {limit} requested")
     prime_bound = 1.26 * limit / log(max(limit, 2))
     needed = int(_BYTES_PER_INTEGER * (limit + 1) + _BYTES_PER_PRIME * prime_bound)
-    budget = min((m for m in (_physical_memory(), _cgroup_memory_limit()) if m is not None), default=None)
+    limits = (_physical_memory(), _cgroup_memory_limit(), _address_space_limit())
+    budget = min((m for m in limits if m is not None), default=None)
     if budget is not None and needed > budget:
         raise CapacityError(
             f"prime table to {limit} needs about {needed >> 20} MiB, more than the "
-            f"{budget >> 20} MiB budget (physical memory or cgroup limit)"
+            f"{budget >> 20} MiB budget (physical memory, cgroup limit or address-space limit)"
         )
 
 
@@ -132,6 +134,17 @@ def _cgroup_memory_limit() -> int | None:
             continue
         return int(text) if text.isdigit() else None
     return None
+
+
+def _address_space_limit() -> int | None:
+    """The soft address-space limit (RLIMIT_AS) in bytes, or None where it
+    is unlimited or the resource module is missing (it is POSIX only)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return None if soft == resource.RLIM_INFINITY else soft
 
 
 def build_prime_table(limit: int) -> PrimeTable:

@@ -55,6 +55,20 @@ def indices_without_5_mod_6_prime(n_max: int) -> list[int]:
     return [n for n in range(n_max + 1) if bisect_right(fives, 2 * n) <= bisect_right(fives, n + 1)]
 
 
+def erdos_pairs(n_max: int) -> list[tuple[int, int]]:
+    """The (n, p) with 1 <= n <= n_max and p prime in (n + 1, 2n], ordered
+    by n and then p, by a nested loop over the sieve's primes."""
+    primes = primes_by_sieve(max(2 * n_max, 2))
+    pairs = []
+    for n in range(1, n_max + 1):
+        for p in primes:
+            if p > 2 * n:
+                break
+            if p > n + 1:
+                pairs.append((n, p))
+    return pairs
+
+
 def sigma_by_scan(n: int) -> int:
     """Sum of divisors by scanning d <= sqrt(n)."""
     total = 0

@@ -239,6 +239,29 @@ def test_blocks_double_up_to_a_patched_cap(lo, length, block):
         _check_blocks(lo, lo + length - 1, block)
 
 
+def test_blocks_cover_every_small_window():
+    # every window near zero, empty ones included, then spans past three
+    # full blocks (16 + 32 + ... + 2048 entries come first)
+    for lo in range(-3, 40):
+        for hi in range(lo - 2, lo + 70):
+            _check_blocks(lo, hi, claims._BLOCK)
+    ramp = sum(16 << i for i in range(8))
+    _check_blocks(5, 5 + ramp + 3 * claims._BLOCK + 100, claims._BLOCK)
+    assert [b.size for b in claims._blocks(0, ramp + 3 * claims._BLOCK)][-5:] == [2048, 4096, 4096, 4096, 1]
+
+
+def test_erdos_pairs_match_a_nested_loop():
+    # 154,366 pairs, in the order of the nested loop over n and then p
+    n_max = 1500
+    pairs = [
+        pair
+        for ns, ps in claims._erdos_pairs(n_max, primes.build_prime_table(2 * n_max).primes)
+        for pair in zip(ns.tolist(), ps.tolist())
+    ]
+    assert len(pairs) == 154_366
+    assert pairs == oracles.erdos_pairs(n_max)
+
+
 def _holds_by_factorization(n, table):
     factors = catalan_factorization(n, table)
     return any(p % 6 == 5 for p, _ in factors), sigma_mod(factors, 6) == 0

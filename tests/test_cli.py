@@ -111,6 +111,47 @@ def test_closed_stdout_exits_2_without_a_traceback():
     assert proc.stderr.startswith("catsigma: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_full_stdout_exits_2_without_a_traceback():
+    # every write to /dev/full fails with ENOSPC; exit 1 would claim a
+    # counterexample, so the CLI names the error and exits 2
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "catsigma", "factor-catalan", "7"],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("catsigma: the report could not be written to stdout: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("step", ["catalan_factorization", "_dumps"])
+def test_exhausted_memory_exits_2_with_one_line(capsys, monkeypatch, step):
+    # from the computation through the serialization of the report
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, step, exhausted)
+    assert invoke(capsys, "factor-catalan", "7") == (2, "", "catsigma: out of memory\n")
+
+
+def test_address_space_limit_refuses_a_table_in_a_limited_process():
+    # the child lowers its own soft RLIMIT_AS to 120000 KiB (ulimit -v 120000);
+    # a table to 2 * 10**8 needs about 291 MiB by the estimate
+    resource = pytest.importorskip("resource")
+
+    def lower_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = 120_000 * 1024 if hard == resource.RLIM_INFINITY else min(120_000 * 1024, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    proc = subprocess.run([sys.executable, "-m", "catsigma", "factor-catalan", "100000000"],
+                          capture_output=True, text=True, env=_cli_env(), timeout=60,
+                          preexec_fn=lower_address_space)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert "MiB budget" in proc.stderr and proc.stderr.count("\n") == 1
+
+
 # runs argv through the CLI, report discarded, then prints the exit code and
 # whether numpy was loaded; with no argv it only imports the package
 NUMPY_PROBE = """
@@ -217,6 +258,15 @@ def test_memory_checked_before_sieving(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert "physical memory" in err
+
+
+def test_address_space_limit_checked_before_sieving(capsys, monkeypatch):
+    monkeypatch.setattr(primes, "_address_space_limit", lambda: 16 * 2**20)
+    assert invoke(capsys, "factor-catalan", "7")[0] == 0  # a small table still fits
+    monkeypatch.setattr(primes.PrimeTable, "primes", property(lambda table: pytest.fail(f"sieved to {table.limit}")))
+    code, out, err = invoke(capsys, "factor-catalan", "10000000")
+    assert (code, out) == (2, "")
+    assert "16 MiB budget" in err and err.count("\n") == 1
 
 
 def test_index_sweep_bound_is_half_the_primality_bound(capsys, monkeypatch):

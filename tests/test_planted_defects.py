@@ -92,6 +92,36 @@ def spf_matches_trial_factoring():
     return all((spf[m >> 1] or m) == min(oracles.trial_factor(m)) for m in range(3, LIMIT + 1, 2))
 
 
+@cache
+def _erdos_pairs_oracle():
+    return oracles.erdos_pairs(1500)
+
+
+def erdos_pairs_match_nested_loop():
+    try:
+        pairs = [
+            pair
+            for ns, ps in claims._erdos_pairs(1500, build_prime_table(3000).primes)
+            for pair in zip(ns.tolist(), ps.tolist())
+        ]
+    except ValueError:  # a window whose n and p runs differ in length
+        return False
+    return pairs == _erdos_pairs_oracle()
+
+
+def blocks_cover_small_windows():
+    for lo in range(-3, 40):
+        for hi in range(lo - 2, lo + 70):
+            blocks = [b.tolist() for b in claims._blocks(lo, hi)]
+            if sum(blocks, []) != list(range(lo, hi + 1)):
+                return False
+    return True
+
+
+def catalan_factors_match_comb():
+    return _indices_off_comb(build_prime_table(600)) == []
+
+
 DEFECTS = [
     # a verifier reports holds where the claim fails
     ("chain-start-off-by-two", claims, "_uncovered", "(2 * c + 3) % 6", "(2 * c + 1) % 6",
@@ -122,6 +152,19 @@ DEFECTS = [
      sigma_exact_and_mod_match_pair_sieve),
     ("spf-sieve-writes-smallest-prime-first", primes, "_build_spf", ".primes[:0:-1]", ".primes[1:]",
      spf_matches_trial_factoring),
+    ("legendre-loop-test-t-above-p", catalan, "_catalan_factors", "while t >= p:", "while t > p:",
+     catalan_factors_match_comb),
+    # a sweep enumerator drops, adds or misaligns pairs or indices
+    ("erdos-window-end-exclusive", claims, "_erdos_pairs", "at[-1] + 1)", "at[-1])",
+     erdos_pairs_match_nested_loop),
+    ("erdos-primes-to-2n-minus-1", claims, "_erdos_pairs", "2 * ns, side", "2 * ns - 1, side",
+     erdos_pairs_match_nested_loop),
+    ("erdos-last-window-one-short", claims, "_erdos_pairs", "int(ends[-1]) - 1", "int(ends[-1]) - 2",
+     erdos_pairs_match_nested_loop),
+    ("blocks-stop-before-hi", claims, "_blocks", "while lo <= hi:", "while lo < hi:",
+     blocks_cover_small_windows),
+    ("blocks-exclusive-hi", claims, "_blocks", "min(lo + size, hi + 1)", "min(lo + size, hi)",
+     blocks_cover_small_windows),
 ]
 
 

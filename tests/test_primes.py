@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -73,6 +75,7 @@ def test_spf_matches_trial_factoring_in_random_ranges(limit, data):
 
 def test_memory_estimate_against_budget(monkeypatch):
     # 4*10**7 needs about 60 MiB by the estimate, 8*10**7 about 118 MiB
+    monkeypatch.setattr(primes, "_address_space_limit", lambda: None)
     assert primes._physical_memory() > 0
     monkeypatch.setattr(primes, "_cgroup_memory_limit", lambda: 100 * 2**20)
     primes.check_spf_limit(4 * 10**7)
@@ -93,6 +96,22 @@ def test_memory_estimate_against_budget(monkeypatch):
     primes.check_spf_limit(2**32 - 1)
     with pytest.raises(CapacityError, match="spf table limited"):
         primes.check_spf_limit(2**32)
+
+
+def test_address_space_limit(monkeypatch):
+    # the soft RLIMIT_AS (ulimit -v) joins the budget; unlimited, or no
+    # resource module, reads None
+    resource = pytest.importorskip("resource")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    assert primes._address_space_limit() == (None if soft == resource.RLIM_INFINITY else soft)
+    monkeypatch.setitem(sys.modules, "resource", None)
+    assert primes._address_space_limit() is None
+    monkeypatch.setattr(primes, "_cgroup_memory_limit", lambda: None)
+    monkeypatch.setattr(primes, "_physical_memory", lambda: None)
+    monkeypatch.setattr(primes, "_address_space_limit", lambda: 100 * 2**20)
+    primes.check_spf_limit(4 * 10**7)
+    with pytest.raises(CapacityError, match="100 MiB budget"):
+        primes.check_spf_limit(8 * 10**7)
 
 
 def test_cgroup_limit_files(monkeypatch, tmp_path):
