@@ -8,8 +8,8 @@ alongside the exact counts; nothing here asserts convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log
+from typing import NamedTuple
 
 from .catalan import catalan_factorization
 from .primes import PrimeTable
@@ -20,8 +20,7 @@ TWIN_PRIME_CONSTANT = 0.66016
 _LN2 = log(2)
 
 
-@dataclass(frozen=True)
-class OmegaRecord:
+class OmegaRecord(NamedTuple):
     """Distinct-prime-factor counts for one Catalan index, with predictions.
 
     pred_omega_corrected subtracts the second-order 2n*ln2/(ln n)^2 term

@@ -19,10 +19,10 @@ factorization.  Witness records are plain dicts so they serialize as-is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import islice
 from math import gcd
 from time import perf_counter
+from typing import NamedTuple
 
 from .catalan import _INT64_INDEX_BOUND, _valuation_block, catalan_factorization, catalan_v2
 from .divisor import sigma_block, sigma_exact, sigma_mod
@@ -51,8 +51,7 @@ _FIRST_PROBE_BLOCK = 16
 _BLOCK = 4096
 
 
-@dataclass
-class VerificationOutcome:
+class VerificationOutcome(NamedTuple):
     """Result of one claim sweep.  holds is true iff no counterexamples."""
 
     claim_id: str
@@ -62,8 +61,7 @@ class VerificationOutcome:
     elapsed: float = 0.0
 
 
-@dataclass(frozen=True)
-class CoprimalityEdge:
+class CoprimalityEdge(NamedTuple):
     """Coprimality status of the pair (a*k - 1, b*k - 1) over all k >= 1.
 
     always_coprime edges satisfy gcd(a*k-1, b*k-1) == 1 for every k; the
@@ -128,7 +126,7 @@ def verify_lemma_six(k_max: int) -> VerificationOutcome:
     coprime to 6, and m is -1 mod 6, hence no square, so the divisors pair
     off as d, m/d with one 1 and the other -1 mod 6, and each pair sums to
     0 mod 6."""
-    return replace(verify_family(6, k_max), claim_id="lemma-six")
+    return verify_family(6, k_max)._replace(claim_id="lemma-six")
 
 
 def verify_family(z: int, k_max: int) -> VerificationOutcome:
@@ -144,8 +142,7 @@ def verify_family(z: int, k_max: int) -> VerificationOutcome:
     return _outcome(f"family-z{z}", (1, k_max), witnesses, started)
 
 
-@dataclass
-class ConjectureSearch:
+class ConjectureSearch(NamedTuple):
     """Moduli in [2, b_max] that survive the divisibility sweep to k_max.
 
     Survival up to a bound is not a proof; the checked bound is part of the

@@ -6,7 +6,12 @@ query succeeded, 1 when a counterexample was found, 2 on usage or capacity
 errors, on exhausted memory, or when stdout cannot take the report.
 Reports are byte-identical across runs for the same arguments and version:
 elapsed fields are zeroed unless --timing is given, and sweeps report their
-first witnesses in ascending order.
+first witnesses in ascending order.  The JSON text comes from _dumps, the
+same bytes as json.dumps(indent=2), whose pure-Python indent path cost
+more than the sieve and the factorization together on a large factor list.
+Importing this module loads neither numpy nor dataclasses (with its
+inspect and ast), which are a fresh process's start-up cost on every
+request.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from itertools import chain
 from time import perf_counter
 
 from . import __version__
@@ -35,7 +40,13 @@ from .claims import (
 )
 from .divisor import sigma_exact, sigma_mod
 from .errors import CapacityError, InconclusiveError, InconsistencyError
-from .primes import build_prime_table
+from .primes import build_prime_table, check_spf_limit
+
+# Bytes per prime of the table to 2n that each command holds beyond the
+# table: the factor list, and factor-catalan's report text (measured in
+# primes.check_spf_limit's docstring).
+_KEPT_BYTES_PER_PRIME = {"factor-catalan": 160, "sigma-catalan": 80}
+
 
 def _coeff_list(text: str) -> list[int]:
     try:
@@ -130,14 +141,15 @@ def _dispatch(args, timing: bool):
     """Returns (command, parameters, outcome payload, exit code)."""
     if args.command in ("factor-catalan", "sigma-catalan"):
         n = args.n
-        # both refusals come before C_n is factored
+        # every refusal comes before C_n is factored
         if args.command == "sigma-catalan" and args.mod is None and n > CATALAN_EXACT_CEILING:
             raise CapacityError(f"exact sigma capped at index {CATALAN_EXACT_CEILING}")
         if args.command == "sigma-catalan" and args.mod is not None and args.mod < 2:
             raise ValueError("modulus must be >= 2")
+        check_spf_limit(max(2 * n, 2), _KEPT_BYTES_PER_PRIME[args.command])
         factors = catalan_factorization(n, build_prime_table(max(2 * n, 2)))
         if args.command == "factor-catalan":
-            payload = {"n": n, "factors": [[p, e] for p, e in factors]}
+            payload = {"n": n, "factors": factors.entries}
             return "factor-catalan", {"n": n}, payload, 0
         if args.mod is not None:
             params = {"n": n, "mode": "mod", "modulus": args.mod}
@@ -160,7 +172,7 @@ def _dispatch(args, timing: bool):
             "search_bound": args.search_bound,
             "always_coprime": sum(e.shared_divisor is None for e in edges),
             "shared_divisor": sum(e.shared_divisor is not None for e in edges),
-            "edges": [asdict(e) for e in edges],
+            "edges": [e._asdict() for e in edges],
         }
         params = {"coeffs": sorted(args.coeffs), "search_bound": args.search_bound}
         return "coprime-graph", params, payload, 0
@@ -170,7 +182,7 @@ def _dispatch(args, timing: bool):
         if lo < 2:
             raise ValueError("omega range must start at 2 or above")
         table = build_prime_table(2 * hi)
-        records = [asdict(r) | {"ratio_omega": r.omega / r.pred_omega}
+        records = [r._asdict() | {"ratio_omega": r.omega / r.pred_omega}
                    for r in omega_table(range(lo, hi + 1, step), table)]
         params = {"range": f"{lo}:{hi}:{step}", "format": args.format}
         return "omega", params, records, 0
@@ -271,15 +283,64 @@ def run(argv=None) -> int:
 
 
 def _dumps(envelope: dict) -> str:
-    """JSON text of the report.  Exact sigma values can pass the
-    interpreter's int-to-str digit limit, which is lifted for this call
-    only."""
+    """The report's JSON text, byte for byte json.dumps(envelope, indent=2),
+    written here because any indent sends json to its pure-Python encoder
+    (51-69 ms for the 21,167 rows of C_182486's factor list on a 2-vCPU
+    Xeon, against 11-18 ms here).  Containers are written by _write, and
+    dict keys, which are strings in every report, by json.dumps; so are
+    strings, floats, bools and None, so escaping and float repr stay
+    json's.  Exact sigma values can pass the interpreter's int-to-str digit
+    limit, which is lifted for this call only."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return json.dumps(envelope, indent=2)
+        out = []
+        _write(envelope, "\n", out)
+        return "".join(out)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _write(value, indent: str, out: list) -> None:
+    """Append value's indent=2 JSON text to out; indent is a newline and
+    the spaces of value's own line.  A list whose rows are all lists or
+    tuples of one length holding only plain ints (a factor list) is written
+    with one %d template per row: the type check is exact, so no bool or
+    float is written as a digit."""
+    if type(value) is int:
+        out.append(str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + json.dumps(key) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        row_types = set(map(type, value))
+        if row_types <= {list, tuple} and len(widths := set(map(len, value))) == 1 and \
+                set(map(type, chain.from_iterable(value))) <= {int}:
+            (width,) = widths
+            row = "[" + ",".join([inner + "  %d"] * width) + inner + "]" if width else "[]"
+            rows = value if row_types == {tuple} else map(tuple, value)
+            out.append("[" + inner + ("," + inner).join(map(row.__mod__, rows)) + indent + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def main() -> None:

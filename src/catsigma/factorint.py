@@ -3,28 +3,36 @@ covers, and p-adic valuations of factorials."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Iterator
 
 from .primes import PrimeTable, is_prime
 
 
-@dataclass(frozen=True)
 class Factorization:
     """Canonical prime factorization: (prime, exponent) pairs, strictly
-    increasing by prime, exponents >= 1."""
+    increasing by prime, exponents >= 1.  Equality and hash are by entries."""
 
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple[tuple[int, int], ...]):
         last = 1
-        for p, e in self.entries:
+        for p, e in entries:
             if p <= last:
                 raise ValueError("entries must be strictly increasing by prime")
             if e < 1:
                 raise ValueError("exponents must be >= 1")
             last = p
+        self.entries = entries
+
+    def __eq__(self, other):
+        return self.entries == other.entries if type(other) is Factorization else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"Factorization(entries={self.entries!r})"
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.entries)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from math import isqrt, log
@@ -47,10 +46,9 @@ _CGROUP_LIMIT_FILES = (
 )
 
 
-@dataclass(frozen=True)
 class PrimeTable:
     """All primes up to ``limit`` and the smallest prime factor of every
-    odd integer up to it, with prime counting.  Immutable; equality is by
+    odd integer up to it, with prime counting.  Equality and hash are by
     limit.  Each array is sieved when first read and then kept.
 
     ``primes`` is an ``array('q')`` of int64, ascending, 8 bytes per prime;
@@ -61,7 +59,17 @@ class PrimeTable:
     from an even m first.
     """
 
-    limit: int
+    def __init__(self, limit: int):
+        self.limit = limit
+
+    def __eq__(self, other):
+        return self.limit == other.limit if type(other) is PrimeTable else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.limit)
+
+    def __repr__(self) -> str:
+        return f"PrimeTable(limit={self.limit!r})"
 
     @cached_property
     def primes(self) -> array:
@@ -89,26 +97,33 @@ class PrimeTable:
         return bisect_right(self.primes, x)
 
 
-def check_spf_limit(limit: int) -> None:
+def check_spf_limit(limit: int, kept_per_prime: int = 0) -> None:
     """Raise CapacityError when a table up to limit would not fit the uint16
-    spf entries, or when the estimated peak memory of either of its arrays
-    exceeds the memory budget, the smallest of physical memory, the cgroup
-    limit and the soft address-space limit (ulimit -v); cheap, so callers
-    run it first.  The estimate is 1 byte
-    per integer and 8 per prime, with the pi bound above: 1.65, 9.42 and
-    30.51 MiB at limits 10**6, 6*10**6 and 2*10**7, where tracemalloc
-    measures peaks of 0.96, 5.73 and 19.1 MiB for the spf array and 1.09,
-    6.20 and 19.5 MiB for the primes (the bytearray sieve and the growing
-    array('q'); the array alone keeps 0.61, 3.34 and 9.95 MiB)."""
+    spf entries, or when the estimated peak memory of either of its arrays,
+    plus kept_per_prime bytes per prime for what a caller builds over the
+    table (a factor list, a report), exceeds the memory budget, the
+    smallest of physical memory, the cgroup limit and the soft
+    address-space limit (ulimit -v); cheap, so callers run it first.  The
+    estimate is 1 byte per integer and 8 per prime, with the pi bound
+    above: 1.65, 9.42 and 30.51 MiB at limits 10**6, 6*10**6 and 2*10**7,
+    where tracemalloc measures peaks of 0.96, 5.73 and 19.1 MiB for the spf
+    array and 1.09, 6.20 and 19.5 MiB for the primes (the bytearray sieve
+    and the growing array('q'); the array alone keeps 0.61, 3.34 and 9.95
+    MiB).  Over a table to 2n, tracemalloc measures 73 bytes per prime of
+    the table (107 per factor) for the factor list of C_n, and 77 more for
+    factor-catalan's report text and its write, at n from 2*10**5 to
+    3*10**6; the CLI passes 80 per prime for sigma-catalan and 160 for
+    factor-catalan."""
     if limit > _SPF_LIMIT_MAX:
         raise CapacityError(f"spf table limited to {_SPF_LIMIT_MAX}, {limit} requested")
     prime_bound = 1.26 * limit / log(max(limit, 2))
-    needed = int(_BYTES_PER_INTEGER * (limit + 1) + _BYTES_PER_PRIME * prime_bound)
+    needed = int(_BYTES_PER_INTEGER * (limit + 1) + (_BYTES_PER_PRIME + kept_per_prime) * prime_bound)
     limits = (_physical_memory(), _cgroup_memory_limit(), _address_space_limit())
     budget = min((m for m in limits if m is not None), default=None)
     if budget is not None and needed > budget:
+        subject = f"prime table to {limit}" + (" with its factor list" if kept_per_prime else "")
         raise CapacityError(
-            f"prime table to {limit} needs about {needed >> 20} MiB, more than the "
+            f"{subject} needs about {needed >> 20} MiB, more than the "
             f"{budget >> 20} MiB budget (physical memory, cgroup limit or address-space limit)"
         )
 

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import catsigma
 import oracles
@@ -152,6 +154,46 @@ def test_address_space_limit_refuses_a_table_in_a_limited_process():
     assert "MiB budget" in proc.stderr and proc.stderr.count("\n") == 1
 
 
+def test_address_space_limit_counts_the_factor_list_in_a_limited_process():
+    # under ulimit -v 120000 (as above) a table to 2 * 10**7 alone fits the
+    # 117 MiB budget (about 30 MiB by the estimate), but with the factor list
+    # of C_(10**7) and its report it does not: the request is refused by the
+    # estimate, before the sieve, rather than running out of memory after it
+    resource = pytest.importorskip("resource")
+
+    def lower_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = 120_000 * 1024 if hard == resource.RLIM_INFINITY else min(120_000 * 1024, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    proc = subprocess.run([sys.executable, "-m", "catsigma", "factor-catalan", "10000000"],
+                          capture_output=True, text=True, env=_cli_env(), timeout=60,
+                          preexec_fn=lower_address_space)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("catsigma: prime table to 20000000 with its factor list needs about ")
+    assert "MiB budget" in proc.stderr and proc.stderr.count("\n") == 1
+
+
+# modules that import catsigma.cli must not load: dataclasses brings
+# inspect, ast, dis and tokenize, about 10 ms of every request's start-up
+STARTUP_PROBE = """
+import sys
+before = set(sys.modules)
+import catsigma.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_no_heavy_modules():
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE],
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = set(proc.stdout.split())
+    assert "catsigma.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "numpy"})
+
+
 # runs argv through the CLI, report discarded, then prints the exit code and
 # whether numpy was loaded; with no argv it only imports the package
 NUMPY_PROBE = """
@@ -267,6 +309,18 @@ def test_address_space_limit_checked_before_sieving(capsys, monkeypatch):
     code, out, err = invoke(capsys, "factor-catalan", "10000000")
     assert (code, out) == (2, "")
     assert "16 MiB budget" in err and err.count("\n") == 1
+
+
+def test_factor_list_counted_before_sieving(capsys, monkeypatch):
+    # the table to 2 * 10**7 alone fits a 100 MiB budget; the factor list
+    # (and factor-catalan's report) of C_(10**7) over it does not
+    monkeypatch.setattr(primes, "_address_space_limit", lambda: 100 * 2**20)
+    primes.check_spf_limit(2 * 10**7)
+    monkeypatch.setattr(primes.PrimeTable, "primes", property(lambda table: pytest.fail(f"sieved to {table.limit}")))
+    for argv in (("factor-catalan", "10000000"), ("sigma-catalan", "10000000", "--mod", "6")):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "with its factor list needs about" in err and err.count("\n") == 1
 
 
 def test_index_sweep_bound_is_half_the_primality_bound(capsys, monkeypatch):
@@ -435,6 +489,16 @@ def test_omega_json_and_csv(capsys):
     assert all(len(line.split(",")) == 9 for line in lines)
 
 
+def test_record_fields_are_the_report_keys(capsys):
+    # the reports serialize the records through _asdict, in field order
+    table = build_prime_table(400)
+    assert list(catsigma.omega_record(100, table)._asdict()) == OMEGA_FIELDS[:-1]
+    _, report, _ = invoke_json(capsys, "coprime-graph", "--coeffs", "3,4,5")
+    edges = claims.coprimality_graph([3, 4, 5])
+    assert [list(e._asdict()) for e in edges] == [list(e) for e in report["outcome"]["edges"]]
+    assert list(edges[0]._asdict()) == ["a", "b", "status", "shared_divisor", "witness_k"]
+
+
 def test_estimate_kinds(capsys):
     code, report, _ = invoke_json(capsys, "estimate", "--kind", "stirling", "--n", "5")
     assert code == 0
@@ -517,3 +581,63 @@ def test_stdout_carries_exactly_one_document(capsys):
     _, out, _ = invoke(capsys, "digits", "9")
     json.loads(out)  # a single well-formed document
     assert out.endswith("\n")
+
+
+def _json_indent_2(value):
+    """The oracle for the report writer, with the int-to-str limit lifted
+    as the writer lifts it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(value, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+INTS = st.integers() | st.builds(lambda digits, sign: sign * (10**digits - 1),
+                                 st.integers(4300, 4400), st.sampled_from((1, -1)))
+SCALARS = st.none() | st.booleans() | st.floats() | st.text() | INTS
+
+
+def _rows(items):
+    """Lists of rows of one width, each row a list or a tuple."""
+    return st.integers(0, 3).flatmap(
+        lambda width: st.lists(st.lists(items, min_size=width, max_size=width) | st.tuples(*[items] * width),
+                               max_size=6)
+    )
+
+
+# sizes are bounded: unbounded recursive payloads cost seconds to generate
+PAYLOADS = st.recursive(
+    # int rows (the template's shape), rows with bools or floats among the
+    # ints, and ragged rows
+    SCALARS | _rows(INTS) | _rows(INTS | st.booleans() | st.floats()) | st.lists(st.lists(INTS, max_size=3), max_size=4),
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PAYLOADS)
+@example([[1, True], [2, 3]])
+@example([(1, 2.0), (3, 4)])
+@example([(1, 2), [3, 4], (5, 6)])
+@example([[1, 2], [3]])
+@example([[], []])
+@example({"\x00\u00e9\u2028\"": [float("nan"), float("inf"), -float("inf"), None, -0.0]})
+@example({"sigma": 10**4400 + 1, "rows": [[10**4400, -1]]})
+def test_writer_matches_json_indent_2(value):
+    assert cli._dumps(value) == _json_indent_2(value)
+
+
+def test_factor_catalan_reports_match_json_over_a_whole_range():
+    # every factor list to n = 3000 through the writer's row template,
+    # against the same envelope through json.dumps(indent=2)
+    args = _build_parser().parse_args(["factor-catalan", "0"])
+    for n in range(3001):
+        args.n = n
+        command, parameters, payload, _ = cli._dispatch(args, False)
+        envelope = {"command": command, "parameters": parameters, "outcome": payload,
+                    "tool_version": __version__, "elapsed_ms": 0}
+        assert cli._dumps(envelope) == json.dumps(envelope, indent=2), n

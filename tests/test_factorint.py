@@ -111,6 +111,16 @@ def test_factor_spf_path_matches_trial_division(table_100k):
         assert dict(factor_u64(n, table_100k).entries) == oracles.trial_factor(n)
 
 
+def test_factorizations_are_equal_and_hash_by_entries():
+    f, g = Factorization(((2, 2), (3, 1))), Factorization(((2, 2), (3, 1)))
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    assert f != Factorization(((2, 2),))
+    assert f != ((2, 2), (3, 1))
+    assert repr(f) == "Factorization(entries=((2, 2), (3, 1)))"
+    with pytest.raises(ValueError):
+        Factorization(((2, 1), (2, 1)))  # a repeated prime
+
+
 def test_factorization_validation():
     with pytest.raises(ValueError):
         Factorization(((5, 1), (3, 1)))  # not increasing

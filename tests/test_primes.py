@@ -31,6 +31,15 @@ def test_build_is_deterministic():
     assert build_prime_table(50_000).primes.tolist() == build_prime_table(50_000).primes.tolist()
 
 
+def test_tables_are_equal_and_hash_by_limit():
+    a, b = build_prime_table(1000), build_prime_table(1000)
+    a.primes  # a sieved array does not enter equality
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != build_prime_table(1001)
+    assert a != 1000
+    assert repr(a) == "PrimeTable(limit=1000)"
+
+
 def test_primes_are_spf_fixed_points():
     # the prime array and the odd-only spf array come from two sieves, so
     # each checks the other: the spf array's zero entries are 1 and exactly
