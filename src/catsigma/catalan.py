@@ -8,7 +8,9 @@ at index 1 call our catalan_exact(n - 1) their nth term.
 
 from __future__ import annotations
 
-from math import factorial, floor, isinf, log, pi, prod, ulp
+from bisect import bisect_left, bisect_right
+from itertools import repeat
+from math import factorial, floor, isinf, isqrt, log, pi, prod, ulp
 from typing import TYPE_CHECKING, Literal
 
 from .errors import CapacityError, InconsistencyError
@@ -19,8 +21,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Largest index accepted for exact big-integer evaluation; catalan_exact(10**6)
-# has about 602,000 digits, multiplied out of its factorization in 4.6-6.6 s
-# on a 2-vCPU Xeon (0.15 s at 1.5*10**5; the cost grows about quadratically).
+# has about 602,000 digits, multiplied out of its factorization in 2.9-4.8 s
+# on a 2-vCPU Xeon (0.08-0.14 s at 1.5*10**5; the cost grows about
+# quadratically).
 # digit_count pays that cost only where its estimate cannot settle the count.
 CATALAN_EXACT_CEILING = 1_000_000
 
@@ -34,7 +37,7 @@ _LN_PI = log(pi)
 
 def catalan_exact(n: int) -> int:
     """The nth Catalan number as an exact integer: its factorization over a
-    table to 2n, multiplied out (0.15 s at 1.5*10**5, 4.6-6.6 s at 10**6).
+    table to 2n, multiplied out (0.08-0.14 s at 1.5*10**5, 2.9-4.8 s at 10**6).
     A negative n is refused by catalan_factorization."""
     if n > CATALAN_EXACT_CEILING:
         raise CapacityError(f"exact evaluation capped at index {CATALAN_EXACT_CEILING}")
@@ -42,15 +45,27 @@ def catalan_exact(n: int) -> int:
 
 
 def _catalan_factors(n: int, primes) -> list[tuple[int, int]]:
-    """(p, v_p(C_n)) for each of the given primes that divides C_n, in the
-    given order, for an index n >= 0: the Legendre sum of
+    """(p, v_p(C_n)) for each of the given primes that divides C_n, in
+    ascending order, for an index n >= 0.  primes is ascending and holds
+    every prime up to its last one (a table's primes, or (2,)).
+
+    For p <= sqrt(2n) the exponent is the Legendre sum of
     2n // p**k - (n + 1) // p**k - n // p**k over k >= 1, with
     x // p**(k+1) taken as (x // p**k) // p, so no power of p is formed.
-    The sum ends once 2n // p**k < p, since every later term is then 0;
-    for p * p > 2n that is after the first term, so the loop over the
-    higher powers runs only for the primes up to sqrt(2n)."""
+    The sum ends once 2n // p**k < p, since every later term is then 0.
+    Above sqrt(2n) only the first term is left, and since
+    (n + 1) // p = n // p + [p | n + 1] it is
+    2n // p - 2 (n // p) - [p | n + 1], which is 0 or 1.  With
+    k = n // p, 2n // p - 2k is 1 exactly on (n / (k + 1), 2n / (2k + 1)],
+    so those primes come as one slice of primes per k, about sqrt(n / 2)
+    slices; k = 0 gives (n, 2n].  Two primes above sqrt(2n) would multiply
+    past n + 1, so at most one divides it: what is left of n + 1 once the
+    primes up to sqrt(2n) are divided out.  Its slice leaves it out."""
+    root = isqrt(2 * n)
+    small = bisect_right(primes, root)
     factors = []
-    for p in primes:
+    rest = n + 1
+    for p in primes[:small]:
         t, m, d = 2 * n // p, (n + 1) // p, n // p
         v = t - m - d
         while t >= p:
@@ -58,6 +73,23 @@ def _catalan_factors(n: int, primes) -> list[tuple[int, int]]:
             v += t - m - d
         if v:
             factors.append((p, v))
+        while rest % p == 0:
+            rest //= p
+    if small == len(primes):
+        # no slice is taken: catalan_v2 passes (2,) for any n, and at
+        # n = 2**64 the loop below would bisect 3*10**9 empty slices
+        return factors
+    # the index of the prime that divides n + 1, or one past every index
+    skip = bisect_left(primes, rest) if rest > 1 else len(primes)
+    ones = repeat(1)
+    lo = small
+    for k in range((2 * n // (root + 1) - 1) // 2, -1, -1):
+        lo = bisect_right(primes, n // (k + 1), lo)
+        hi = bisect_right(primes, 2 * n // (2 * k + 1), lo)
+        if lo <= skip < hi:
+            factors += zip(primes[lo:skip], ones)
+            lo = skip + 1
+        factors += zip(primes[lo:hi], ones)
     return factors
 
 
@@ -109,7 +141,7 @@ def catalan_factorization(n: int, table: PrimeTable) -> Factorization:
         raise ValueError("index must be nonnegative")
     if table.limit < 2 * n:
         raise ValueError(f"table limit {table.limit} does not cover 2n = {2 * n}")
-    return Factorization(tuple(_catalan_factors(n, table.primes[: table.pi(2 * n)])))
+    return Factorization(tuple(_catalan_factors(n, table.primes)))
 
 
 def catalan_v2(n: int) -> int:
@@ -164,7 +196,7 @@ def digit_count(n: int) -> int:
     """Number of base-10 digits of the nth Catalan number, read off
     asymptotic_log and its error envelope.  Where the envelope around
     log10 C_n holds an integer d, C_n is compared with 10**d: that forms
-    catalan_exact's integer (4.6-6.6 s at the ceiling) up to
+    catalan_exact's integer (2.9-4.8 s at the ceiling) up to
     CATALAN_EXACT_CEILING, and past it the call fails with CapacityError."""
     if n < 0:
         raise ValueError("index must be nonnegative")

@@ -9,17 +9,18 @@ elapsed fields are zeroed unless --timing is given, and sweeps report their
 first witnesses in ascending order.  The JSON text comes from _dumps, the
 same bytes as json.dumps(indent=2), whose pure-Python indent path cost
 more than the sieve and the factorization together on a large factor list.
-Importing this module loads neither numpy nor dataclasses (with its
-inspect and ast), which are a fresh process's start-up cost on every
-request.
+Importing this module loads neither numpy, dataclasses (with its inspect
+and ast) nor json, which are a fresh process's start-up cost on every
+request, and the command ends its process as soon as its output is
+flushed (main), without the interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from _json import encode_basestring_ascii
 from itertools import chain
 from time import perf_counter
 
@@ -46,6 +47,9 @@ from .primes import build_prime_table, check_spf_limit
 # table: the factor list, and factor-catalan's report text (measured in
 # primes.check_spf_limit's docstring).
 _KEPT_BYTES_PER_PRIME = {"factor-catalan": 160, "sigma-catalan": 80}
+
+# json's text for the non-finite floats, keyed by their repr
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _coeff_list(text: str) -> list[int]:
@@ -286,11 +290,12 @@ def _dumps(envelope: dict) -> str:
     """The report's JSON text, byte for byte json.dumps(envelope, indent=2),
     written here because any indent sends json to its pure-Python encoder
     (51-69 ms for the 21,167 rows of C_182486's factor list on a 2-vCPU
-    Xeon, against 11-18 ms here).  Containers are written by _write, and
-    dict keys, which are strings in every report, by json.dumps; so are
-    strings, floats, bools and None, so escaping and float repr stay
-    json's.  Exact sigma values can pass the interpreter's int-to-str digit
-    limit, which is lifted for this call only."""
+    Xeon, against 11-18 ms here), and without importing json.  Every value
+    is written by _write: dict keys, which are strings in every report, and
+    strings through encode_basestring_ascii, the C escaper json.dumps uses
+    by default, and floats, bools and None as json writes them.  Exact
+    sigma values can pass the interpreter's int-to-str digit limit, which
+    is lifted for this call only."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -306,9 +311,12 @@ def _write(value, indent: str, out: list) -> None:
     the spaces of value's own line.  A list whose rows are all lists or
     tuples of one length holding only plain ints (a factor list) is written
     with one %d template per row: the type check is exact, so no bool or
-    float is written as a digit."""
+    float is written as a digit.  Any other type raises TypeError, as
+    json.dumps does."""
     if type(value) is int:
         out.append(str(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -316,7 +324,7 @@ def _write(value, indent: str, out: list) -> None:
         inner = indent + "  "
         sep = "{" + inner
         for key, item in value.items():
-            out.append(sep + json.dumps(key) + ": ")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
             _write(item, inner, out)
             sep = "," + inner
         out.append(indent + "}")
@@ -339,9 +347,31 @@ def _write(value, indent: str, out: list) -> None:
             _write(item, inner, out)
             sep = "," + inner
         out.append(indent + "]")
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_NON_FINITE.get(text, text))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
     else:
-        out.append(json.dumps(value))
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def main() -> None:
-    sys.exit(run())
+    """The catsigma command: run() on sys.argv, then, once stdout and
+    stderr are flushed, end the process with os._exit.  That skips the
+    interpreter's teardown (module cleanup, the last garbage collection,
+    atexit handlers, of which catsigma registers none): 6-25 ms of every
+    request after its report is out, the most where numpy was loaded.
+    Output still buffered here (argparse's help) that stdout cannot take
+    exits 2, as a report does."""
+    code = run()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        code = 2
+    os._exit(code)

@@ -20,12 +20,13 @@ def sigma_exact(f: Factorization) -> int:
 
 def sigma_mod(f: Factorization, m: int) -> int:
     """sigma(f.value) mod m: sigma_exact's prime-power terms, each formed
-    exactly and reduced mod m as it is multiplied in."""
+    exactly and reduced mod m as it is multiplied in.  An exponent of 1,
+    the case of most primes of a Catalan number, takes the term p + 1."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
     total = 1
     for p, e in f:
-        total = total * ((p ** (e + 1) - 1) // (p - 1)) % m
+        total = total * (p + 1 if e == 1 else (p ** (e + 1) - 1) // (p - 1)) % m
     return total
 
 

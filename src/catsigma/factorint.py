@@ -43,7 +43,7 @@ class Factorization:
     @property
     def value(self) -> int:
         """Reconstructed integer: math.prod of the prime powers, multiplied in
-        one at a time (4.6-6.6 s for C_1000000)."""
+        one at a time (2.9-4.8 s for C_1000000 on a 2-vCPU Xeon)."""
         return prod(p**e for p, e in self.entries)
 
     def prime_factors(self) -> tuple[int, ...]:

@@ -3,7 +3,8 @@
 Everything here is deliberately naive and independent of the package's own
 code paths: trial division, a bytearray prime sieve, divisor scans and
 sieves (one of them in numpy), base-p carry counts, bit tricks, binomial
-coefficients, and chunked digit counting.
+coefficients, the per-prime Legendre loop and the recurrence of Catalan
+exponents, and chunked digit counting.
 """
 
 from bisect import bisect_right
@@ -126,6 +127,39 @@ def carries(a: int, b: int, p: int) -> int:
         count += carry
         a, b = a // p, b // p
     return count
+
+
+def legendre_catalan_factors(n: int, primes) -> list[tuple[int, int]]:
+    """(p, v_p(C_n)) for each of the given primes that divides C_n, in the
+    given order: the Legendre sum of 2n // p**k - (n + 1) // p**k - n // p**k
+    over k >= 1, taken in full for every prime, with x // p**(k+1) as
+    (x // p**k) // p."""
+    factors = []
+    for p in primes:
+        t, m, d = 2 * n // p, (n + 1) // p, n // p
+        v = t - m - d
+        while t >= p:
+            t, m, d = t // p, m // p, d // p
+            v += t - m - d
+        if v:
+            factors.append((p, v))
+    return factors
+
+
+def catalan_exponents_by_recurrence(n_max: int):
+    """Yield {p: v_p(C_n)} for n = 0, 1, ..., n_max, from
+    C_n = C_(n-1) * 2 (2n - 1) / (n + 1), each factor split by trial
+    division; a prime whose exponent falls to 0 leaves the dict."""
+    exponents: dict[int, int] = {}
+    yield {}
+    for n in range(1, n_max + 1):
+        for p, e in trial_factor(2 * (2 * n - 1)).items():
+            exponents[p] = exponents.get(p, 0) + e
+        for p, e in trial_factor(n + 1).items():
+            exponents[p] -= e
+            if not exponents[p]:
+                del exponents[p]
+        yield dict(exponents)
 
 
 def catalan_by_comb(n: int) -> int:

@@ -20,7 +20,7 @@ from catsigma import (
     product_form,
     stirling_log_estimate,
 )
-from catsigma.catalan import _valuation_block
+from catsigma.catalan import _catalan_factors, _valuation_block
 
 KNOWN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 
@@ -87,6 +87,24 @@ def test_valuation_matches_factorization(table_10k, n):
     assert factors.prime_factors() == tuple(positive)
     with pytest.raises(ValueError):
         catalan_valuation(5, 4)
+
+
+def test_factorization_matches_the_recurrence_at_every_index_to_3000(table_10k):
+    # every prime up to 2n for every n <= 3000: a prime of an exponent-one
+    # slice dropped or added, or a wrong exponent, shows against
+    # C_n = C_(n-1) * 2 (2n - 1) / (n + 1) split by trial division
+    for n, exponents in enumerate(oracles.catalan_exponents_by_recurrence(3000)):
+        assert dict(catalan_factorization(n, table_10k).entries) == exponents, n
+
+
+@pytest.mark.parametrize("n", [10**5, 182_486, 10**6])
+def test_factorization_matches_the_legendre_loop_at_large_indices(n):
+    # the slices above sqrt(2n) against the full Legendre sum at every
+    # prime up to 2n, over primes from the oracle's own sieve
+    primes = oracles.primes_by_sieve(2 * n)
+    expected = oracles.legendre_catalan_factors(n, primes)
+    assert catalan_factorization(n, build_prime_table(2 * n)).entries == tuple(expected)
+    assert _catalan_factors(n, primes) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import inspect
 import json
 import os
@@ -126,6 +128,35 @@ def test_full_stdout_exits_2_without_a_traceback():
     assert proc.stderr.count("\n") == 1
 
 
+def test_main_ends_the_process_after_the_whole_report():
+    # main() flushes, then skips the interpreter's teardown with os._exit:
+    # a report larger than a pipe buffer still arrives whole, exit 1 (a
+    # counterexample) and exit 2 (a usage error) still reach the caller,
+    # and so does the help text.  stdout is block-buffered, as it is
+    # without PYTHONUNBUFFERED
+    env = {k: v for k, v in _cli_env().items() if k != "PYTHONUNBUFFERED"}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "catsigma", *argv], capture_output=True, env=env, timeout=60)
+
+    proc = cli("factor-catalan", "150000")
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        assert run(["factor-catalan", "150000"]) == 0
+    assert len(proc.stdout) > 1 << 16
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, report.getvalue().encode(), b"")
+    proc = cli("verify", "family", "--z", "7", "--k-max", "200000")
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    assert json.loads(proc.stdout)["outcome"]["holds"] is False
+    proc = cli("digits", "-1")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"catsigma: ") and proc.stderr.count(b"\n") == 1
+    # argparse's help is still buffered when run() returns
+    proc = cli("--help")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"usage: catsigma") and b"coprime-graph" in proc.stdout
+
+
 @pytest.mark.parametrize("step", ["catalan_factorization", "_dumps"])
 def test_exhausted_memory_exits_2_with_one_line(capsys, monkeypatch, step):
     # from the computation through the serialization of the report
@@ -176,7 +207,8 @@ def test_address_space_limit_counts_the_factor_list_in_a_limited_process():
 
 
 # modules that import catsigma.cli must not load: dataclasses brings
-# inspect, ast, dis and tokenize, about 10 ms of every request's start-up
+# inspect, ast, dis and tokenize, about 10 ms of every request's start-up,
+# and json about 2 ms
 STARTUP_PROBE = """
 import sys
 before = set(sys.modules)
@@ -191,7 +223,7 @@ def test_cli_import_loads_no_heavy_modules():
     assert (proc.returncode, proc.stderr) == (0, "")
     loaded = set(proc.stdout.split())
     assert "catsigma.cli" in loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "numpy"})
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "json", "numpy"})
 
 
 # runs argv through the CLI, report discarded, then prints the exit code and

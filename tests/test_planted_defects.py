@@ -122,6 +122,14 @@ def catalan_factors_match_comb():
     return _indices_off_comb(build_prime_table(600)) == []
 
 
+def catalan_factors_match_recurrence():
+    """The factorization of every C_n with n <= 1000, at every prime up to
+    2n, is the exponent recurrence's."""
+    table = build_prime_table(2000)
+    return all(dict(catalan_factorization(n, table).entries) == exponents
+               for n, exponents in enumerate(oracles.catalan_exponents_by_recurrence(1000)))
+
+
 DEFECTS = [
     # a verifier reports holds where the claim fails
     ("chain-start-off-by-two", claims, "_uncovered", "(2 * c + 3) % 6", "(2 * c + 1) % 6",
@@ -154,6 +162,10 @@ DEFECTS = [
      spf_matches_trial_factoring),
     ("legendre-loop-test-t-above-p", catalan, "_catalan_factors", "while t >= p:", "while t > p:",
      catalan_factors_match_comb),
+    ("exponent-one-slice-ends-one-short", catalan, "_catalan_factors", "2 * n // (2 * k + 1), lo)",
+     "2 * n // (2 * k + 1) - 1, lo)", catalan_factors_match_recurrence),
+    ("n-plus-one-prime-kept-in-its-slice", catalan, "_catalan_factors", "if lo <= skip < hi:", "if False:",
+     catalan_factors_match_recurrence),
     # a sweep enumerator drops, adds or misaligns pairs or indices
     ("erdos-window-end-exclusive", claims, "_erdos_pairs", "at[-1] + 1)", "at[-1])",
      erdos_pairs_match_nested_loop),
