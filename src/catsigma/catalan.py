@@ -46,8 +46,8 @@ def catalan_exact(n: int) -> int:
 
 def _catalan_factors(n: int, primes) -> list[tuple[int, int]]:
     """(p, v_p(C_n)) for each of the given primes that divides C_n, in
-    ascending order, for an index n >= 0.  primes is ascending and holds
-    every prime up to its last one (a table's primes, or (2,)).
+    ascending order, for an index n >= 0.  primes is a table's primes: all
+    of them in ascending order, up to at least 2n.
 
     For p <= sqrt(2n) the exponent is the Legendre sum of
     2n // p**k - (n + 1) // p**k - n // p**k over k >= 1, with
@@ -75,10 +75,6 @@ def _catalan_factors(n: int, primes) -> list[tuple[int, int]]:
             factors.append((p, v))
         while rest % p == 0:
             rest //= p
-    if small == len(primes):
-        # no slice is taken: catalan_v2 passes (2,) for any n, and at
-        # n = 2**64 the loop below would bisect 3*10**9 empty slices
-        return factors
     # the index of the prime that divides n + 1, or one past every index
     skip = bisect_left(primes, rest) if rest > 1 else len(primes)
     ones = repeat(1)
@@ -122,10 +118,10 @@ def _valuation_block(ns: np.ndarray, ps) -> np.ndarray:
 
 def catalan_valuation(n: int, p: int) -> int:
     """Exponent of the prime p in the nth Catalan number, as the difference
-    of three factorial valuations (the big integer is never formed).  This
-    route is independent of _catalan_factors, which catalan_factorization
-    and catalan_v2 run, and of _valuation_block, which the erdos and
-    mersenne passes run."""
+    of three factorial valuations (the big integer is never formed), with
+    no prime table; catalan_v2 runs it at p = 2.  This route is
+    independent of _catalan_factors, which catalan_factorization runs, and
+    of _valuation_block, which the erdos and mersenne passes run."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     if not is_prime(p):
@@ -145,16 +141,14 @@ def catalan_factorization(n: int, table: PrimeTable) -> Factorization:
 
 
 def catalan_v2(n: int) -> int:
-    """2-adic valuation of the nth Catalan number, via Legendre sums.
+    """2-adic valuation of the nth Catalan number: catalan_valuation(n, 2),
+    three Legendre sums of about log2(n) steps each, with no prime table.
 
     Always equals (n + 1).bit_count() - 1, the binary digit sum of n + 1
     less one; callers that want that route as an independent check
     compute it themselves.
     """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    factors = _catalan_factors(n, (2,))
-    return factors[0][1] if factors else 0
+    return catalan_valuation(n, 2)
 
 
 def product_form(k: int, parity: Literal["even", "odd"]) -> int:

@@ -72,6 +72,23 @@ def _range_spec(text: str) -> tuple[int, int, int]:
     return a, b, step
 
 
+def _claims() -> dict:
+    """claim -> (help, verifier, options) for each verify subcommand; every
+    option is a required int named as the verifier's parameter.  Built per
+    call: the verifiers are read off this module when the command runs, so
+    a rebinding of the names (perfbench's tracer) holds."""
+    index_range = ("--n-min", "--n-max")
+    return {
+        "lemma-six": ("6 | sigma(6k-1) for k <= K", verify_lemma_six, ("--k-max",)),
+        "family": ("z | sigma(z*k-1) for k <= K", verify_family, ("--z", "--k-max")),
+        "conjecture": ("moduli surviving b | sigma(b*k-1) up to K", search_conjecture, ("--b-max", "--k-max")),
+        "theorem1": ("catalan(n) has a prime factor of 6k-1 form", verify_theorem_6kminus1, index_range),
+        "sigma-catalan": ("6 | sigma(catalan(n)) over an index range", verify_sigma_catalan, index_range),
+        "erdos": ("primes in (n+1, 2n] divide catalan(n) exactly once", verify_erdos_interval, ("--n-max",)),
+        "mersenne": ("catalan(n) odd iff n+1 is a power of two", verify_mersenne_parity, ("--n-max",)),
+    }
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catsigma",
@@ -94,30 +111,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="sweep one divisibility claim")
     claims = verify.add_subparsers(dest="claim", required=True)
 
-    p = claims.add_parser("lemma-six", help="6 | sigma(6k-1) for k <= K")
-    p.add_argument("--k-max", type=int, required=True)
-
-    p = claims.add_parser("family", help="z | sigma(z*k-1) for k <= K")
-    p.add_argument("--z", type=int, required=True)
-    p.add_argument("--k-max", type=int, required=True)
-
-    p = claims.add_parser("conjecture", help="moduli surviving b | sigma(b*k-1) up to K")
-    p.add_argument("--b-max", type=int, required=True)
-    p.add_argument("--k-max", type=int, required=True)
-
-    p = claims.add_parser("theorem1", help="catalan(n) has a prime factor of 6k-1 form")
-    p.add_argument("--n-min", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-
-    p = claims.add_parser("sigma-catalan", help="6 | sigma(catalan(n)) over an index range")
-    p.add_argument("--n-min", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-
-    p = claims.add_parser("erdos", help="primes in (n+1, 2n] divide catalan(n) exactly once")
-    p.add_argument("--n-max", type=int, required=True)
-
-    p = claims.add_parser("mersenne", help="catalan(n) odd iff n+1 is a power of two")
-    p.add_argument("--n-max", type=int, required=True)
+    for claim, (text, _, options) in _claims().items():
+        p = claims.add_parser(claim, help=text)
+        for option in options:
+            p.add_argument(option, type=int, required=True)
 
     p = sub.add_parser("coprime-graph", help="coprimality of (a*k-1, b*k-1) over coefficient pairs")
     p.add_argument("--coeffs", type=_coeff_list, required=True, metavar="A,B,...")
@@ -141,7 +138,7 @@ def _omega_csv(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dispatch(args, timing: bool):
+def _dispatch(args):
     """Returns (command, parameters, outcome payload, exit code)."""
     if args.command in ("factor-catalan", "sigma-catalan"):
         n = args.n
@@ -167,7 +164,7 @@ def _dispatch(args, timing: bool):
         return "digits", {"n": args.n}, {"n": args.n, "digits": digit_count(args.n)}, 0
 
     if args.command == "verify":
-        return _dispatch_verify(args, timing)
+        return _dispatch_verify(args)
 
     if args.command == "coprime-graph":
         edges = coprimality_graph(args.coeffs, args.search_bound)
@@ -206,42 +203,31 @@ def _dispatch(args, timing: bool):
     raise ValueError(f"unknown command {args.command!r}")
 
 
-def _dispatch_verify(args, timing: bool):
+def _dispatch_verify(args):
     claim = args.claim
     # the claim's options, named as the verifier's parameters, in parser order
     params = {k: v for k, v in vars(args).items() if k not in ("timing", "command", "claim")}
+    result = _claims()[claim][1](**params)
+    elapsed_ms = int(result.elapsed * 1000) if args.timing else 0
     if claim == "conjecture":
-        result = search_conjecture(**params)
-        expected = [b for b in FAMILY_MODULI if b <= args.b_max]
-        unexpected = sorted(set(result.survivors) - set(expected))
+        unexpected = sorted(set(result.survivors).difference(FAMILY_MODULI))
         payload = {
             "b_max": result.b_max,
             "k_max": result.k_max,
             "survivors": result.survivors,
             "unexpected_survivors": unexpected,
             "eliminated": result.eliminated,
-            "elapsed_ms": int(result.elapsed * 1000) if timing else 0,
+            "elapsed_ms": elapsed_ms,
         }
         return "verify conjecture", params, payload, 0 if not unexpected else 1
-    # built per call: the verifiers are read off this module when the
-    # command runs, so a rebinding of the names (perfbench's tracer) holds
-    verifier = {
-        "lemma-six": verify_lemma_six,
-        "family": verify_family,
-        "theorem1": verify_theorem_6kminus1,
-        "sigma-catalan": verify_sigma_catalan,
-        "erdos": verify_erdos_interval,
-        "mersenne": verify_mersenne_parity,
-    }[claim]
-    outcome = verifier(**params)
     payload = {
-        "claim_id": outcome.claim_id,
-        "range": list(outcome.range),
-        "holds": outcome.holds,
-        "counterexamples": outcome.counterexamples,
-        "elapsed_ms": int(outcome.elapsed * 1000) if timing else 0,
+        "claim_id": result.claim_id,
+        "range": list(result.range),
+        "holds": result.holds,
+        "counterexamples": result.counterexamples,
+        "elapsed_ms": elapsed_ms,
     }
-    return f"verify {claim}", params, payload, 0 if outcome.holds else 1
+    return f"verify {claim}", params, payload, 0 if result.holds else 1
 
 
 def run(argv=None) -> int:
@@ -254,7 +240,7 @@ def run(argv=None) -> int:
 
     started = perf_counter()
     try:
-        command, parameters, payload, code = _dispatch(args, args.timing)
+        command, parameters, payload, code = _dispatch(args)
         if args.command == "omega" and args.format == "csv":
             report = _omega_csv(payload)
         else:
@@ -308,10 +294,11 @@ def _dumps(envelope: dict) -> str:
 
 def _write(value, indent: str, out: list) -> None:
     """Append value's indent=2 JSON text to out; indent is a newline and
-    the spaces of value's own line.  A list whose rows are all lists or
-    tuples of one length holding only plain ints (a factor list) is written
-    with one %d template per row: the type check is exact, so no bool or
-    float is written as a digit.  Any other type raises TypeError, as
+    the spaces of value's own line.  A list whose rows are all tuples of
+    one length holding only plain ints (a factor list) is written with one
+    %d template per row: the type checks are exact, so no bool or float is
+    written as a digit, and any other rows take the generic path, which
+    writes the same text.  Any other type raises TypeError, as
     json.dumps does."""
     if type(value) is int:
         out.append(str(value))
@@ -333,13 +320,11 @@ def _write(value, indent: str, out: list) -> None:
             out.append("[]")
             return
         inner = indent + "  "
-        row_types = set(map(type, value))
-        if row_types <= {list, tuple} and len(widths := set(map(len, value))) == 1 and \
+        if set(map(type, value)) == {tuple} and len(widths := set(map(len, value))) == 1 and \
                 set(map(type, chain.from_iterable(value))) <= {int}:
             (width,) = widths
             row = "[" + ",".join([inner + "  %d"] * width) + inner + "]" if width else "[]"
-            rows = value if row_types == {tuple} else map(tuple, value)
-            out.append("[" + inner + ("," + inner).join(map(row.__mod__, rows)) + indent + "]")
+            out.append("[" + inner + ("," + inner).join(map(row.__mod__, value)) + indent + "]")
             return
         sep = "[" + inner
         for item in value:

@@ -138,10 +138,13 @@ def test_v2_examples(n, expected):
 
 
 def test_v2_routes_agree_up_to_20k():
+    # catalan_v2 runs catalan_valuation; the mersenne sweep's block route
+    # is the independent one
+    block = _valuation_block(np.arange(20_001), 2).tolist()
     for n in range(20_001):
         v = catalan_v2(n)
         assert v == (n + 1).bit_count() - 1
-        assert v == catalan_valuation(n, 2)
+        assert v == block[n]
         assert (v == 0) == ((n + 1) & n == 0)  # odd iff n+1 a power of two
 
 

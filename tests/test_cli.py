@@ -90,7 +90,11 @@ def test_sigma_catalan_exact_past_int_str_limit(capsys):
 
 
 def _cli_env():
-    return dict(os.environ, PYTHONPATH=str(Path(catsigma.__file__).parent.parent))
+    # without PYTHONUNBUFFERED, so stdout is block-buffered in every
+    # subprocess test, as it is for any caller reading a pipe, and a
+    # missing flush shows
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONPATH=str(Path(catsigma.__file__).parent.parent))
 
 
 def test_python_dash_m_runs_the_cli(capsys):
@@ -132,12 +136,10 @@ def test_main_ends_the_process_after_the_whole_report():
     # main() flushes, then skips the interpreter's teardown with os._exit:
     # a report larger than a pipe buffer still arrives whole, exit 1 (a
     # counterexample) and exit 2 (a usage error) still reach the caller,
-    # and so does the help text.  stdout is block-buffered, as it is
-    # without PYTHONUNBUFFERED
-    env = {k: v for k, v in _cli_env().items() if k != "PYTHONUNBUFFERED"}
-
+    # and so does the help text
     def cli(*argv):
-        return subprocess.run([sys.executable, "-m", "catsigma", *argv], capture_output=True, env=env, timeout=60)
+        return subprocess.run([sys.executable, "-m", "catsigma", *argv], capture_output=True, env=_cli_env(),
+                              timeout=60)
 
     proc = cli("factor-catalan", "150000")
     report = io.StringIO()
@@ -461,6 +463,25 @@ def test_verify_options_are_the_verifier_parameters():
         assert dests == list(inspect.signature(VERIFIERS[claim]).parameters), claim
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("verify_family", ["verify", "family", "--z", "4", "--k-max", "100"]),
+    ("search_conjecture", ["verify", "conjecture", "--b-max", "12", "--k-max", "50"]),
+])
+def test_verify_calls_the_verifier_bound_in_cli_when_it_runs(capsys, monkeypatch, name, argv):
+    # perfbench's tracer times each claim by rebinding its name in cli after
+    # the import, so verify must look the verifier up there on every call
+    _, expected, _ = invoke(capsys, *argv)
+    calls = []
+
+    def stub(**params):
+        calls.append(params)
+        return getattr(claims, name)(**params)
+
+    monkeypatch.setattr(cli, name, stub)
+    assert invoke(capsys, *argv) == (0, expected, "")
+    assert calls == [json.loads(expected)["parameters"]]
+
+
 def test_verify_conjecture(capsys):
     code, report, _ = invoke_json(capsys, "verify", "conjecture", "--b-max", "30", "--k-max", "100")
     assert code == 0
@@ -602,6 +623,28 @@ def test_golden_reports(capsys, command, exit_code, digest):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
 
 
+# sha256 of the help texts at COLUMNS=80: the verify subcommands are built
+# from one table, and their usage, help lines and options stay as they were
+GOLDEN_HELP = [
+    ("--help", "5f2360706f7a73f7abea20d9c1a55d9b190923819f1eec2f5f06e893beefc20f"),
+    ("verify --help", "c2e821ff38097a054750766618ac3746a268e6e581c3ab1eb820c00297c519ae"),
+    ("verify lemma-six --help", "c437059d06e2b5e92b3ee66fd1b4d003c6d619b32a85a0504312e1e9fe481bfc"),
+    ("verify family --help", "5ceb766873abc6885b7731eb651713f38516df85530d6be18e965c15f68e8c96"),
+    ("verify conjecture --help", "e231130c9e9c431dd9dbba009f48624cea5ce3ac6d362421d9d41eeb868dc987"),
+    ("verify theorem1 --help", "fdfde76557535855d661dada8166ff7dec2070e9dbc31bacade709c51ed2909a"),
+    ("verify sigma-catalan --help", "d0d7bff1e076cf454114f4335a5cbda8a67251284979b59f8519c0540566db38"),
+    ("verify erdos --help", "294133903193f1253b8e50894a82556cafb59744e9b1ec70ecb6872f0cb882f1"),
+    ("verify mersenne --help", "44e85b7b8eb2c79780bc15c6d34d8419edafcec4a6d166f8715d75c777a4b83f"),
+]
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN_HELP, ids=[c for c, _ in GOLDEN_HELP])
+def test_golden_help(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke(capsys, *command.split())
+    assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (0, "", digest)
+
+
 def test_timing_flag_populates_elapsed(capsys):
     code, report, _ = invoke_json(capsys, "--timing", "verify", "mersenne", "--n-max", "20000")
     assert code == 0
@@ -669,7 +712,7 @@ def test_factor_catalan_reports_match_json_over_a_whole_range():
     args = _build_parser().parse_args(["factor-catalan", "0"])
     for n in range(3001):
         args.n = n
-        command, parameters, payload, _ = cli._dispatch(args, False)
+        command, parameters, payload, _ = cli._dispatch(args)
         envelope = {"command": command, "parameters": parameters, "outcome": payload,
                     "tool_version": __version__, "elapsed_ms": 0}
         assert cli._dumps(envelope) == json.dumps(envelope, indent=2), n

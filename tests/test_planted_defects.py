@@ -232,9 +232,9 @@ def _indices_off_comb(table, n_max=300):
 
 
 def test_whole_range_check_catches_planted_legendre_defects(table_10k, monkeypatch):
-    # the per-prime Legendre loop behind catalan_factorization and
-    # catalan_v2, checked against math.comb over a whole range: the real
-    # loop passes it, and a copy with either defect fails it
+    # the per-prime Legendre loop behind catalan_factorization, checked
+    # against math.comb over a whole range: the real loop passes it, and a
+    # copy with either defect fails it
     assert _indices_off_comb(table_10k) == []
     for defect in (_legendre_n_plus_two, _legendre_first_term):
         with monkeypatch.context() as patch:
