@@ -108,10 +108,7 @@ def _sigma_failures(z: int, k_max: int, table: PrimeTable):
     for ks in _blocks(1, k_max):
         remainders = sigma_block(z * ks - 1, table) % z
         bad = remainders.nonzero()[0][:_MAX_WITNESSES]  # no caller asks for more
-        hits = zip(ks[bad].tolist(), remainders[bad].tolist())
-        # freed before the caller resumes, so one block is held at a time
-        del ks, remainders
-        yield from hits
+        yield from zip(ks[bad].tolist(), remainders[bad].tolist())
 
 
 def _sigma_witness(k: int, z: int, remainder: int, table: PrimeTable) -> dict:

@@ -294,9 +294,9 @@ def _dumps(envelope: dict) -> str:
 
 def _write(value, indent: str, out: list) -> None:
     """Append value's indent=2 JSON text to out; indent is a newline and
-    the spaces of value's own line.  A list whose rows are all tuples of
-    one length holding only plain ints (a factor list) is written with one
-    %d template per row: the type checks are exact, so no bool or float is
+    the spaces of value's own line.  A list whose rows are all pairs of
+    plain ints (a factor list's (p, e) rows) is written with one %d
+    template per row: the type checks are exact, so no bool or float is
     written as a digit, and any other rows take the generic path, which
     writes the same text.  Any other type raises TypeError, as
     json.dumps does."""
@@ -320,10 +320,9 @@ def _write(value, indent: str, out: list) -> None:
             out.append("[]")
             return
         inner = indent + "  "
-        if set(map(type, value)) == {tuple} and len(widths := set(map(len, value))) == 1 and \
+        if set(map(type, value)) == {tuple} and set(map(len, value)) == {2} and \
                 set(map(type, chain.from_iterable(value))) <= {int}:
-            (width,) = widths
-            row = "[" + ",".join([inner + "  %d"] * width) + inner + "]" if width else "[]"
+            row = f"[{inner}  %d,{inner}  %d{inner}]"
             out.append("[" + inner + ("," + inner).join(map(row.__mod__, value)) + indent + "]")
             return
         sep = "[" + inner

@@ -43,11 +43,11 @@ def sigma_block(values: np.ndarray, table: PrimeTable) -> np.ndarray:
     factor p = spf[rest >> 1] out of every other entry, with term
     1 + p + ... + p**e, and drops the entries it finishes, so a block costs
     one step fewer than its largest count of distinct odd prime factors (at
-    most 8 for v < 2**32).  Powers beyond p**1 are taken in an inner loop
-    over just the entries that p**2 divides.  Prime-power terms and their
-    product are kept exact: each is a divisor-sum of a divisor of v, so no
-    intermediate exceeds sigma(v) < 2**36 for v < 2**32 and int64 cannot
-    wrap.
+    most 8 for v < 2**32).  Powers beyond p**1 come off one per pass of an
+    inner loop over just the entries that p still divides, each pass taking
+    term to term * p + 1.  Prime-power terms and their product are kept
+    exact: each is a divisor-sum of a divisor of v, so no intermediate
+    exceeds sigma(v) < 2**36 for v < 2**32 and int64 cannot wrap.
     """
     import numpy as np
 
@@ -68,16 +68,11 @@ def sigma_block(values: np.ndarray, table: PrimeTable) -> np.ndarray:
         term = p + 1
         nxt = spf[rest >> 1]
         again = ((nxt == p) | (rest == p)).nonzero()[0]  # p still divides rest
-        if again.size:
+        while again.size:
             q = p[again]
-            r, t = rest[again] // q, term[again] * q + 1
-            more = r % q == 0
-            while more.any():
-                step = np.where(more, q, 1)
-                r //= step
-                t = t * step + more
-                more = r % q == 0
-            rest[again], term[again], nxt[again] = r, t, spf[r >> 1]
+            r = rest[again] // q
+            rest[again], term[again], nxt[again] = r, term[again] * q + 1, spf[r >> 1]
+            again = again[(nxt[again] == q) | (r == q)]
         closed *= term
         sigma[live] = closed * (rest + (rest > 1))
         left = nxt.nonzero()[0]

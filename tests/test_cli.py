@@ -614,6 +614,14 @@ GOLDEN_REPORTS = [
     # sigma terms reduced by a modulus other than 6, and a failing k-sweep
     ("sigma-catalan 150000 --mod 1000000007", 0, "1fc2f945e3dc31be63ff7cfbc0097843b27b581f00b6e87b6f54b48c67478316"),
     ("verify family --z 7 --k-max 200000", 1, "0f93480f39f4f23474d059c7d0ae10eddce4fce36541f9dc17bda1a16fa35473"),
+    # None, bools and edge records; floats; omega records as JSON; a digit
+    # count at a tie, which forms C_n; an empty factor list
+    ("coprime-graph --coeffs 3,4,6,8,12,24", 0, "f5c5fb5996ceb24279604566c9383b21f8615246f84424ddf43e24a39998d814"),
+    ("estimate --kind asymptotic --n 1023", 0, "2cb435dcd5a82e4843ba4f09223fecb07cb413d4e8f90276f455e7df5170f288"),
+    ("estimate --kind stirling --n 10", 0, "573156c4ce877800b6b2298be300cd452869b4c8a37f5fdd41065484cef0cec1"),
+    ("omega --range 100:2000:100", 0, "922faed033dbf7af23e4d3d8bec60fc551704fc19dd3f57c88e8d57d3d8b447d"),
+    ("digits 50047", 0, "00b11480c4e67c949f95bf5c2a0c67c0d3784700fd76647d85aca717d3514632"),
+    ("factor-catalan 0", 0, "837b5c025b524a7dd4faf8886bb428e12bd55093272c87c8c880d6fc68c97957"),
 ]
 
 
@@ -624,7 +632,8 @@ def test_golden_reports(capsys, command, exit_code, digest):
 
 
 # sha256 of the help texts at COLUMNS=80: the verify subcommands are built
-# from one table, and their usage, help lines and options stay as they were
+# from one table, and every subcommand's usage, help lines and options stay
+# as they were
 GOLDEN_HELP = [
     ("--help", "5f2360706f7a73f7abea20d9c1a55d9b190923819f1eec2f5f06e893beefc20f"),
     ("verify --help", "c2e821ff38097a054750766618ac3746a268e6e581c3ab1eb820c00297c519ae"),
@@ -635,6 +644,12 @@ GOLDEN_HELP = [
     ("verify sigma-catalan --help", "d0d7bff1e076cf454114f4335a5cbda8a67251284979b59f8519c0540566db38"),
     ("verify erdos --help", "294133903193f1253b8e50894a82556cafb59744e9b1ec70ecb6872f0cb882f1"),
     ("verify mersenne --help", "44e85b7b8eb2c79780bc15c6d34d8419edafcec4a6d166f8715d75c777a4b83f"),
+    ("factor-catalan --help", "00ef9061a66402feecff2e328a311fe56903a02009e9ddefc30067414376d233"),
+    ("sigma-catalan --help", "35051c75fa784897c97aa6d7f192a0eb5b134518a8c5f76e9f94a47d399d55cb"),
+    ("digits --help", "2c9a72272f0e7800ecdda67e5b8e7265b392b243e212a927908540264db855df"),
+    ("coprime-graph --help", "0de41555c54cd04757935b09b8488e523fd291840c04217cecb57352b666d6b6"),
+    ("omega --help", "b99d4c68d09aae355d8827667d0761438fb98aeaec93ba0275ad9d136199a553"),
+    ("estimate --help", "705b58710cb4ee26c4889f02b835a081b3e77020b19e18e1a92f329dfae7aa2f"),
 ]
 
 

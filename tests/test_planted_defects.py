@@ -119,7 +119,17 @@ def blocks_cover_small_windows():
 
 
 def catalan_factors_match_comb():
-    return _indices_off_comb(build_prime_table(600)) == []
+    """catalan_factorization and catalan_v2 give math.comb's C_n for every
+    n <= 300; a refused factorization is a mismatch."""
+    table = build_prime_table(600)
+    for n in range(301):
+        value = oracles.catalan_by_comb(n)
+        try:
+            if catalan_factorization(n, table).value != value or catalan_v2(n) != oracles.v2(value):
+                return False
+        except ValueError:  # Factorization refuses an exponent below 1
+            return False
+    return True
 
 
 def catalan_factors_match_recurrence():
@@ -152,7 +162,7 @@ DEFECTS = [
      mersenne_holds_to_20000),
     ("sigma-block-power-of-two-term-dropped", divisor, "sigma_block", "closed = 2 * low - 1", "closed = low // low",
      sigma_block_matches_pair_sieve),
-    ("sigma-block-again-peel-skipped", divisor, "sigma_block", "if again.size:", "if False:",
+    ("sigma-block-again-peel-skipped", divisor, "sigma_block", "while again.size:", "while False:",
      sigma_block_matches_pair_sieve),
     ("sigma-exact-term-cut-to-p-to-the-e", divisor, "sigma_exact", "p ** (e + 1)", "p**e",
      sigma_exact_and_mod_match_pair_sieve),
@@ -161,6 +171,10 @@ DEFECTS = [
     ("spf-sieve-writes-smallest-prime-first", primes, "_build_spf", ".primes[:0:-1]", ".primes[1:]",
      spf_matches_trial_factoring),
     ("legendre-loop-test-t-above-p", catalan, "_catalan_factors", "while t >= p:", "while t > p:",
+     catalan_factors_match_comb),
+    ("legendre-n-plus-two", catalan, "_catalan_factors", "(n + 1) // p, n // p", "(n + 2) // p, n // p",
+     catalan_factors_match_comb),
+    ("legendre-first-term-only", catalan, "_catalan_factors", "while t >= p:", "while False:",
      catalan_factors_match_comb),
     ("exponent-one-slice-ends-one-short", catalan, "_catalan_factors", "2 * n // (2 * k + 1), lo)",
      "2 * n // (2 * k + 1) - 1, lo)", catalan_factors_match_recurrence),
@@ -188,55 +202,3 @@ def test_check_catches_planted_defect(defect, monkeypatch):
         _plant(patch, module, name, old, new)
         assert not check(), check.__name__
     assert check(), check.__name__
-
-
-def _legendre_n_plus_two(n, primes):
-    # defect: (n + 2) // p in place of (n + 1) // p
-    factors = []
-    for p in primes:
-        t = 2 * n // p
-        v = t - (n + 2) // p - n // p
-        if t >= p:
-            m, d = (n + 2) // p, n // p
-            while t >= p:
-                t, m, d = t // p, m // p, d // p
-                v += t - m - d
-        if v:
-            factors.append((p, v))
-    return factors
-
-
-def _legendre_first_term(n, primes):
-    # defect: the sum stops after the k = 1 term
-    factors = []
-    for p in primes:
-        v = 2 * n // p - (n + 1) // p - n // p
-        if v:
-            factors.append((p, v))
-    return factors
-
-
-def _indices_off_comb(table, n_max=300):
-    """The n <= n_max where catalan_factorization or catalan_v2 disagree
-    with the math.comb value, or where the factorization is refused."""
-    off = []
-    for n in range(n_max + 1):
-        value = oracles.catalan_by_comb(n)
-        try:
-            agree = catalan_factorization(n, table).value == value and catalan_v2(n) == oracles.v2(value)
-        except ValueError:  # Factorization refuses an exponent below 1
-            agree = False
-        if not agree:
-            off.append(n)
-    return off
-
-
-def test_whole_range_check_catches_planted_legendre_defects(table_10k, monkeypatch):
-    # the per-prime Legendre loop behind catalan_factorization, checked
-    # against math.comb over a whole range: the real loop passes it, and a
-    # copy with either defect fails it
-    assert _indices_off_comb(table_10k) == []
-    for defect in (_legendre_n_plus_two, _legendre_first_term):
-        with monkeypatch.context() as patch:
-            patch.setattr(catalan, "_catalan_factors", defect)
-            assert _indices_off_comb(table_10k) != [], defect.__name__
